@@ -19,6 +19,13 @@ over reference-engine throughput, binary trace size over JSON trace
 size — which cancels the machine out. Raw seconds and steps/sec are
 still recorded (they are what humans read) but never gated.
 
+Deterministic work counts are gated **exactly** (``"gate": "exact"``):
+the ``decrypt_block`` calls and distinct 64-bit trace windows of one
+fixed-key CaffeineMark recognize under each codec. They depend on the
+algorithm, not the machine, so any change to them is a change in what
+recognition does — e.g. a codec going back to decrypting every window,
+or the hybrid codec scanning its trace twice.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/regression.py              # run + gate
@@ -26,10 +33,11 @@ Usage::
     PYTHONPATH=src python benchmarks/regression.py --rebaseline # refresh
     PYTHONPATH=src python benchmarks/regression.py --no-check   # report only
 
-Exit status is non-zero when any gated metric regresses more than
+Exit status is non-zero when any gated ratio regresses more than
 ``--tolerance`` (default 0.20) below/above its committed baseline in
-``benchmarks/baseline.json``, or when the fast engine's trace is not
-byte-identical to the reference engine's.
+``benchmarks/baseline.json``, when a work count differs from it, or
+when the fast engine's trace is not byte-identical to the reference
+engine's.
 """
 
 from __future__ import annotations
@@ -45,12 +53,20 @@ import subprocess
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
+from unittest import mock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro import faults  # noqa: E402
+from repro.bytecode_wm import WatermarkKey, embed  # noqa: E402
+from repro.bytecode_wm.recognizer import (  # noqa: E402
+    recognize_bits,
+    trace_bitstring,
+)
+from repro.core.bitstring import sliding_windows  # noqa: E402
+from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.obs.vmprofile import profile_run  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
@@ -67,6 +83,7 @@ from repro.workloads.jesslike import (  # noqa: E402
 SCHEMA = "wvm-bench/1"
 DEFAULT_BASELINE = os.path.join(HERE, "baseline.json")
 DEFAULT_TOLERANCE = 0.20
+WORK_MARK = 0xC0FFEE0DDBA11
 
 
 # -- measurement -------------------------------------------------------------
@@ -206,6 +223,46 @@ def _fault_hook_inertness_check() -> dict:
     }
 
 
+def _window_work_counts(results: Dict[str, dict]) -> None:
+    """Decrypt calls and distinct windows of one recognize per codec.
+
+    CaffeineMark is marked once per codec with a fixed key, mark and
+    salt, then recognized from its key-input trace with
+    ``BlockCipher.decrypt_block`` counted. Each distinct window is
+    decrypted once, so the two counts are equal.
+    """
+    key = WatermarkKey(secret=b"bench-window-work", inputs=CAFFEINE_INPUT)
+    original = BlockCipher.decrypt_block
+    for spec in ("gcrt", "rs-8", "hybrid-4"):
+        marked = embed(caffeinemark_module(), WORK_MARK, key,
+                       watermark_bits=64, rng_salt="bench", codec=spec)
+        bits = trace_bitstring(marked.module, key)
+        calls = 0
+
+        def counting(cipher, block):
+            nonlocal calls
+            calls += 1
+            return original(cipher, block)
+
+        with mock.patch.object(BlockCipher, "decrypt_block", counting):
+            found = recognize_bits(bits, key, 64, codec=spec)
+        if found.value != WORK_MARK:
+            raise SystemExit(f"work-count recognize under {spec} failed")
+        distinct = len({packed for _, packed in sliding_windows(bits, 64)})
+        for name, unit, value in (
+            ("decrypt_calls", "calls", calls),
+            ("distinct_windows", "windows", distinct),
+        ):
+            results[f"recognize.caffeinemark.{spec}.{name}"] = {
+                "unit": unit,
+                "median": value,
+                "iqr": 0.0,
+                "repeats": 1,
+                "windows": found.windows_inspected,
+                "gate": "exact",
+            }
+
+
 def _dispatch_profiles() -> Dict[str, dict]:
     """Per-opcode dispatch profiles of the gated workloads.
 
@@ -287,6 +344,8 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         results,
     )
     _trace_size_ratio(results)
+    print("== recognize work counts ==", flush=True)
+    _window_work_counts(results)
     trace_identical = _trace_identity_check()
     fault_hooks = _fault_hook_inertness_check()
     print("== dispatch profiles ==", flush=True)
@@ -317,6 +376,8 @@ def print_report(report: dict) -> None:
     for name, entry in rows:
         if entry["unit"] == "ratio":
             med = f"{entry['median']:.2f}x"
+        elif entry["gate"] == "exact":
+            med = f"{entry['median']} {entry['unit']}"
         else:
             med = f"{entry['median'] * 1000:.1f}ms"
             if "steps_per_sec" in entry:
@@ -370,7 +431,12 @@ def compare_to_baseline(
             failures.append(f"{name}: benchmark missing from this run")
             continue
         base_med, cur_med = base["median"], current["median"]
-        if gate == "min" and cur_med < base_med * (1.0 - tolerance):
+        if gate == "exact" and cur_med != base_med:
+            failures.append(
+                f"{name}: {cur_med} {base['unit']} differs from the exact "
+                f"baseline {base_med}"
+            )
+        elif gate == "min" and cur_med < base_med * (1.0 - tolerance):
             failures.append(
                 f"{name}: {cur_med:.3f} regressed more than "
                 f"{tolerance:.0%} below baseline {base_med:.3f}"
@@ -398,9 +464,9 @@ def write_baseline(report: dict, path: str) -> None:
         "schema": SCHEMA,
         "generated": report["generated"],
         "note": (
-            "Gated ratio metrics only; absolute timings are "
-            "machine-dependent and deliberately excluded. Refresh with "
-            "`python benchmarks/regression.py --rebaseline`."
+            "Gated ratio metrics and exact work counts only; absolute "
+            "timings are machine-dependent and deliberately excluded. "
+            "Refresh with `python benchmarks/regression.py --rebaseline`."
         ),
         "benchmarks": gated,
     }

@@ -12,8 +12,10 @@ independent, position-addressed signal. The hybrid embeds both:
   packed watermark, sealed under a hybrid-specific tag so the channels
   cannot cross-talk.
 
-Decoding runs the full GCRT pipeline first. A complete in-range
-recovery wins outright (parity agreement folds into ``confidence``).
+Decoding decrypts each distinct trace window once and runs both
+channels over that one table, the full GCRT pipeline first. A complete
+in-range recovery wins outright (parity agreement folds into
+``confidence``).
 Otherwise the candidate set of the partial congruence — or, for mark
 spaces up to ``MAX_CANDIDATES``, the whole space — is scored against
 the collected parity symbols; only a *unique* candidate matching
@@ -42,7 +44,7 @@ from ..core.cipher import BlockCipher
 from ..core.crt import Congruence
 from ..core.enumeration import StatementEnumeration
 from ..core.primes import choose_moduli
-from ..core.recovery import RecoveryResult, recover
+from ..core.recovery import RecoveryResult, recover, window_plaintexts
 from ..core.splitting import split
 from .base import EncodedPiece, WatermarkCodec, seal_symbol, validate_recovery
 from .gf256 import rs_encode
@@ -138,11 +140,14 @@ class HybridCodec(WatermarkCodec):
         return pieces
 
     def _parity_symbols(
-        self, bits: Sequence[int], watermark_bits: int, cipher: BlockCipher
+        self,
+        plaintexts: List[Tuple[int, int]],
+        watermark_bits: int,
+        cipher: BlockCipher,
     ) -> Tuple[Dict[int, int], int]:
         """Collected ``parity slot -> symbol`` map plus window hits."""
         data_bytes, n = self.layout(watermark_bits)
-        votes, _, hits = symbol_votes(bits, cipher, HYBRID_PARITY_TAG, n)
+        votes, _, hits = symbol_votes(plaintexts, cipher, HYBRID_PARITY_TAG, n)
         elected = elect_symbols(votes)
         return {
             pos - data_bytes: sym
@@ -186,10 +191,14 @@ class HybridCodec(WatermarkCodec):
         use_voting: bool = True,
     ) -> RecoveryResult:
         moduli = choose_moduli(watermark_bits)
+        # One decrypted window table feeds both channels.
+        plaintexts = window_plaintexts(bits, cipher)
         result = recover(bits, cipher, StatementEnumeration(moduli),
-                         use_voting, max_value=1 << watermark_bits)
+                         use_voting, max_value=1 << watermark_bits,
+                         plaintexts=plaintexts)
         result.codec = self.spec
-        parity, parity_hits = self._parity_symbols(bits, watermark_bits, cipher)
+        parity, parity_hits = self._parity_symbols(plaintexts, watermark_bits,
+                                                   cipher)
         result.candidates_found += parity_hits
         # Demote a phantom "complete" (junk statements can cover every
         # modulus) before deciding which channel answers.

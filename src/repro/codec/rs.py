@@ -15,9 +15,10 @@ encrypted block gives junk windows an acceptance probability around
 extra budget becomes extra copies per symbol (majority-voted at
 decode; a tied vote erases the position rather than guessing).
 
-Decoding collects per-position votes from every 64-bit trace window,
-erases missing/ambiguous positions, runs errors-and-erasures RS
-correction, and accepts only if the MAC re-verifies. ``confidence`` is
+Decoding collects per-position votes from every 64-bit trace window
+(each distinct window decrypted once, its vote weighted by how often
+it occurs), erases missing/ambiguous positions, runs errors-and-erasures
+RS correction, and accepts only if the MAC re-verifies. ``confidence`` is
 the fraction of codeword symbols recovered clean (no erasure, no
 correction).
 """
@@ -28,15 +29,15 @@ import random
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.bitstring import sliding_windows
+from ..core.bitstring import decrypt_distinct, sliding_windows
 from ..core.cipher import BlockCipher
 from ..core.recovery import RecoveryResult
 from .base import (
     PIECE_BITS,
     EncodedPiece,
     WatermarkCodec,
+    check_symbol,
     keyed_mac,
-    open_symbol,
     seal_symbol,
     validate_recovery,
 )
@@ -48,23 +49,27 @@ DEFAULT_EC_BYTES = 8
 
 
 def symbol_votes(
-    bits: Sequence[int], cipher: BlockCipher, tag: int, positions: int
+    plaintexts: List[Tuple[int, int]], cipher: BlockCipher, tag: int,
+    positions: int,
 ) -> Tuple[Dict[int, Counter], int, int]:
-    """Tally ``(position -> symbol votes)`` over every 64-bit window.
+    """Tally ``(position -> symbol votes)`` over decrypted trace windows.
 
-    Returns ``(votes, windows_inspected, hits)``. Shared with the
-    hybrid codec, which seals its parity symbols under a different tag.
+    ``plaintexts`` holds ``(plaintext, multiplicity)`` per distinct
+    window (:func:`~repro.core.bitstring.decrypt_distinct`); every count
+    is weighted by the multiplicity. Returns
+    ``(votes, windows_inspected, hits)``. Shared with the hybrid codec,
+    which seals its parity symbols under a different tag.
     """
     votes: Dict[int, Counter] = {}
     inspected = 0
     hits = 0
-    for _, packed in sliding_windows(list(bits), PIECE_BITS):
-        inspected += 1
-        opened = open_symbol(cipher, tag, packed, positions)
+    for plain, n in plaintexts:
+        inspected += n
+        opened = check_symbol(cipher, tag, plain, positions)
         if opened is not None:
             pos, sym = opened
-            votes.setdefault(pos, Counter())[sym] += 1
-            hits += 1
+            votes.setdefault(pos, Counter())[sym] += n
+            hits += n
     return votes, inspected, hits
 
 
@@ -148,7 +153,10 @@ class ReedSolomonCodec(WatermarkCodec):
         use_voting: bool = True,
     ) -> RecoveryResult:
         data_bytes, n = self.layout(watermark_bits)
-        votes, inspected, hits = symbol_votes(bits, cipher, RS_SYMBOL_TAG, n)
+        plaintexts = decrypt_distinct(
+            sliding_windows(list(bits), PIECE_BITS), cipher)
+        votes, inspected, hits = symbol_votes(plaintexts, cipher,
+                                              RS_SYMBOL_TAG, n)
         elected = elect_symbols(votes)
         result = RecoveryResult(
             complete=False,

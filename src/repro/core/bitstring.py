@@ -29,7 +29,10 @@ of the trace entry immediately following that execution of the branch.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Tuple
+
+from .cipher import BlockCipher
 
 Bit = int
 BranchEvent = Tuple[Hashable, Hashable]
@@ -105,3 +108,21 @@ def sliding_windows(bits: List[Bit], width: int = 64) -> Iterable[Tuple[int, int
         window >>= 1
         window |= bits[t + top] << top
         yield t, window
+
+
+def decrypt_distinct(
+    windows: Iterable[Tuple[int, int]], cipher: BlockCipher
+) -> List[Tuple[int, int]]:
+    """``(plaintext, multiplicity)`` for each distinct packed window.
+
+    Consumes the ``(offset, packed)`` pairs of :func:`sliding_windows`
+    once, counts every distinct packed value in first-occurrence order
+    and decrypts each value once with ``cipher.decrypt_block``. Hot
+    loops repeat the same window many times, so this is the only place
+    recognition pays for the cipher. Decryption is a bijection, so any
+    decoder that weights its per-window result by the multiplicity sees
+    exactly what a per-window loop would, in the same first-seen order.
+    """
+    counts = Counter(packed for _, packed in windows)
+    decrypt = cipher.decrypt_block
+    return [(decrypt(packed), n) for packed, n in counts.items()]

@@ -8,6 +8,8 @@ The recognizer's decoding algorithm, exactly as described:
    enumeration. Windows decoding outside the statement space are junk
    and are dropped (the cipher makes attacked/unrelated windows look
    uniform, so the out-of-range check rejects almost all of them).
+   Repeated windows are decrypted once and weighted by their
+   multiplicity (:func:`window_plaintexts`).
 
 2. **Voting.** For each modulus ``p_i`` a vote is held on the value of
    ``W mod p_i``. If there is a *clear winner* — "the first-place
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .bitstring import sliding_windows
+from .bitstring import decrypt_distinct, sliding_windows
 from .cipher import BlockCipher
 from .crt import Congruence, generalized_crt
 from .enumeration import Statement, StatementEnumeration
@@ -76,23 +78,42 @@ class RecoveryResult:
         return self.complete
 
 
+def window_plaintexts(
+    bits: Sequence[int], cipher: BlockCipher
+) -> List[Tuple[int, int]]:
+    """``(plaintext, multiplicity)`` per distinct 64-bit window of ``bits``.
+
+    One scan and one decryption per distinct window; every codec that
+    reads residue statements or sealed symbols consumes this table.
+    """
+    return decrypt_distinct(sliding_windows(list(bits), BLOCK_BITS), cipher)
+
+
 def extract_candidates(
     bits: Sequence[int],
     cipher: BlockCipher,
     enumeration: StatementEnumeration,
+    plaintexts: Optional[List[Tuple[int, int]]] = None,
 ) -> Tuple[Counter, int]:
-    """Decrypt every 64-bit window and keep in-range statements.
+    """Decode every 64-bit window and keep in-range statements.
 
     Returns a multiset of statements (duplicates feed the vote) and the
-    number of windows inspected.
+    number of windows inspected. ``plaintexts`` reuses a table already
+    built by :func:`window_plaintexts` for the same ``bits`` and
+    ``cipher``. Each distinct window is decoded once and counted with
+    its multiplicity, which gives the multiset and insertion order a
+    per-window loop would.
     """
+    if plaintexts is None:
+        plaintexts = window_plaintexts(bits, cipher)
     candidates: Counter = Counter()
     inspected = 0
-    for _, packed in sliding_windows(list(bits), BLOCK_BITS):
-        inspected += 1
-        stmt = enumeration.decode(cipher.decrypt_block(packed))
+    decode = enumeration.decode
+    for plain, n in plaintexts:
+        inspected += n
+        stmt = decode(plain)
         if stmt is not None:
-            candidates[stmt] += 1
+            candidates[stmt] += n
     return candidates, inspected
 
 
@@ -227,6 +248,7 @@ def recover(
     enumeration: StatementEnumeration,
     use_voting: bool = True,
     max_value: Optional[int] = None,
+    plaintexts: Optional[List[Tuple[int, int]]] = None,
 ) -> RecoveryResult:
     """Full recognition pipeline: bits -> candidate statements -> W.
 
@@ -234,9 +256,11 @@ def recover(
     the ablation study; the graph elimination always runs. ``max_value``
     (``2^watermark_bits`` when the caller knows the mark width) bars
     provably-junk statements from the vote — see :func:`hold_votes`.
+    ``plaintexts`` is passed on to :func:`extract_candidates`.
     """
     moduli = enumeration.moduli
-    candidates, inspected = extract_candidates(bits, cipher, enumeration)
+    candidates, inspected = extract_candidates(bits, cipher, enumeration,
+                                               plaintexts)
     found = sum(candidates.values())
     votes: Dict[int, Counter] = {}
     winners: Dict[int, int] = {}

@@ -77,15 +77,34 @@ class Trace:
         return [(e.branch, e.follower) for e in self.branches]
 
     def site_counts(self) -> Dict[SiteKey, int]:
-        """Execution frequency of every trace site."""
-        counts: Dict[SiteKey, int] = {}
-        for p in self.points:
-            counts[p.key] = counts.get(p.key, 0) + 1
-        return counts
+        """Execution frequency of every trace site, in first-seen order."""
+        return {key: len(pts) for key, pts in self._site_index().items()}
 
     def site_snapshots(self, key: SiteKey) -> List[TracePoint]:
         """All executions of one site, in order."""
-        return [p for p in self.points if p.key == key]
+        return list(self._site_index().get(key, ()))
+
+    def _site_index(self) -> Dict[SiteKey, List[TracePoint]]:
+        """Points grouped by site, built in one pass on first use.
+
+        Kept as a plain attribute outside the dataclass fields, so it
+        takes no part in ``==`` or ``repr``; ``PreparedProgram`` pickles
+        the trace as a binary blob of its fields, so the index never
+        reaches an artifact. Rebuilt when ``points`` is replaced or has
+        changed length since it was built.
+        """
+        points = self.points
+        cached = self.__dict__.get("_index")
+        if cached is None or cached[0] is not points or cached[1] != len(points):
+            index: Dict[SiteKey, List[TracePoint]] = {}
+            for p in points:
+                bucket = index.get(p.key)
+                if bucket is None:
+                    index[p.key] = [p]
+                else:
+                    bucket.append(p)
+            cached = self._index = (points, len(points), index)
+        return cached[2]
 
 
 @dataclass
