@@ -21,10 +21,13 @@ still recorded (they are what humans read) but never gated.
 
 Deterministic work counts are gated **exactly** (``"gate": "exact"``):
 the ``decrypt_block`` calls and distinct 64-bit trace windows of one
-fixed-key CaffeineMark recognize under each codec. They depend on the
-algorithm, not the machine, so any change to them is a change in what
-recognition does — e.g. a codec going back to decrypting every window,
-or the hybrid codec scanning its trace twice.
+fixed-key CaffeineMark recognize under each codec, and the total and
+fused dispatch counts of the profiled jess and CaffeineMark runs. They
+depend on the algorithm, not the machine, so any change to them is a
+change in what recognition or the engine does — e.g. a codec going
+back to decrypting every window, the hybrid codec scanning its trace
+twice, or a fusion-table edit that changes which superinstructions
+executed code dispatches.
 
 Usage::
 
@@ -263,15 +266,15 @@ def _window_work_counts(results: Dict[str, dict]) -> None:
             }
 
 
-def _dispatch_profiles() -> Dict[str, dict]:
+def _dispatch_profiles(results: Dict[str, dict]) -> Dict[str, dict]:
     """Per-opcode dispatch profiles of the gated workloads.
 
     Separate, *untimed-for-gating* runs on the interpreter's profiled
     loop specializations — the counting twin never touches the timed
     loops above, so profiling here cannot perturb the gated ratios.
-    Recorded for trend-watching (superinstruction hit rate, dispatch
-    reduction), never gated: the counts are deterministic but the
-    throughput context is machine-dependent.
+    Each run's total and fused dispatch counts are gated exactly; the
+    rest of the profile (per-opcode rows, hit rate, dispatch reduction,
+    throughput context) is recorded for trend-watching.
     """
     profiles: Dict[str, dict] = {}
     for name, factory, inputs, mode in (
@@ -281,6 +284,14 @@ def _dispatch_profiles() -> Dict[str, dict]:
     ):
         _, profile = profile_run(factory(), inputs, trace_mode=mode)
         profiles[name] = profile.to_dict()
+        for count in ("total_dispatches", "fused_dispatches"):
+            results[f"dispatch.{name}.{count}"] = {
+                "unit": "dispatches",
+                "median": getattr(profile, count),
+                "iqr": 0.0,
+                "repeats": 1,
+                "gate": "exact",
+            }
     return profiles
 
 
@@ -349,7 +360,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
     trace_identical = _trace_identity_check()
     fault_hooks = _fault_hook_inertness_check()
     print("== dispatch profiles ==", flush=True)
-    dispatch = _dispatch_profiles()
+    dispatch = _dispatch_profiles(results)
     if figures:
         print("== figure reproduction benchmarks ==", flush=True)
         _figure_benchmarks(results)

@@ -163,6 +163,7 @@ class ReedSolomonCodec(WatermarkCodec):
             value=None,
             congruence=None,
             windows_inspected=inspected,
+            windows_distinct=len(plaintexts),
             candidates_found=hits,
             candidates_after_voting=sum(
                 votes[pos].most_common(1)[0][1] for pos in elected

@@ -53,6 +53,9 @@ class RecoveryResult:
     recovered. Diagnostic counters describe how much work was done and
     how the candidate set was whittled down.
 
+    ``windows_inspected`` counts every 64-bit window scanned;
+    ``windows_distinct`` counts the distinct ones, each decrypted once.
+
     ``confidence`` grades a recovery in ``[0, 1]``: how much of the
     redundancy agreed with the reported value (codec-specific — for
     GCRT it is the covered-moduli fraction, for RS the fraction of
@@ -67,6 +70,7 @@ class RecoveryResult:
     congruence: Optional[Congruence]
     accepted: List[Statement] = field(default_factory=list)
     windows_inspected: int = 0
+    windows_distinct: int = 0
     candidates_found: int = 0
     candidates_after_voting: int = 0
     votes: Dict[int, Counter] = field(default_factory=dict)
@@ -256,9 +260,11 @@ def recover(
     the ablation study; the graph elimination always runs. ``max_value``
     (``2^watermark_bits`` when the caller knows the mark width) bars
     provably-junk statements from the vote — see :func:`hold_votes`.
-    ``plaintexts`` is passed on to :func:`extract_candidates`.
+    ``plaintexts`` reuses a table from :func:`window_plaintexts`.
     """
     moduli = enumeration.moduli
+    if plaintexts is None:
+        plaintexts = window_plaintexts(bits, cipher)
     candidates, inspected = extract_candidates(bits, cipher, enumeration,
                                                plaintexts)
     found = sum(candidates.values())
@@ -274,6 +280,7 @@ def recover(
         value=None,
         congruence=None,
         windows_inspected=inspected,
+        windows_distinct=len(plaintexts),
         candidates_found=found,
         candidates_after_voting=after_voting,
         votes=votes,

@@ -3,10 +3,10 @@
 A failed ``recognize`` used to return nothing actionable — "no
 watermark recovered" with the whole funnel invisible. Robustness work
 (and the SandMark line of recovery studies) needs the funnel itself:
-how many trace windows were decrypted, how many survived the
-enumeration range check, what the per-modulus votes looked like, which
-moduli the surviving statements covered and which the Generalized CRT
-was still missing. :class:`RecognitionReport` carries exactly that,
+how many trace windows were scanned and decrypted, how many survived
+the enumeration range check, what the per-modulus votes looked like,
+which moduli the surviving statements covered and which the
+Generalized CRT was still missing. :class:`RecognitionReport` carries exactly that,
 for both schemes:
 
 * the **bytecode** recognizer fills the window / voting / CRT funnel
@@ -37,6 +37,7 @@ class RecognitionReport:
 
     # -- bytecode funnel: windows -> candidates -> votes -> CRT ------------
     windows_inspected: int = 0
+    windows_distinct: int = 0
     window_hits: int = 0
     candidates_after_voting: int = 0
     statements_accepted: int = 0
@@ -63,6 +64,7 @@ class RecognitionReport:
             "complete": self.complete,
             "value": self.value,
             "windows_inspected": self.windows_inspected,
+            "windows_distinct": self.windows_distinct,
             "window_hits": self.window_hits,
             "candidates_after_voting": self.candidates_after_voting,
             "statements_accepted": self.statements_accepted,
@@ -93,6 +95,7 @@ class RecognitionReport:
             complete=doc["complete"],
             value=doc.get("value"),
             windows_inspected=doc.get("windows_inspected", 0),
+            windows_distinct=doc.get("windows_distinct", 0),
             window_hits=doc.get("window_hits", 0),
             candidates_after_voting=doc.get("candidates_after_voting", 0),
             statements_accepted=doc.get("statements_accepted", 0),
@@ -127,7 +130,8 @@ class RecognitionReport:
         lines = [f"{self.scheme} recognition: watermark{value} {head}"]
         if self.scheme == "bytecode":
             lines.append(
-                f"  windows: {self.windows_inspected} decrypt attempts, "
+                f"  windows: {self.windows_inspected} scanned, "
+                f"{self.windows_distinct} distinct decrypted, "
                 f"{self.window_hits} in-range hits"
             )
             lines.append(

@@ -42,6 +42,7 @@ from ..core.errors import EmbeddingError
 from ..core.planner import plan_redundancy
 from ..core.primes import choose_moduli
 from ..vm.cfg import CFG, build_cfg
+from ..vm.compiler import NUM_OPCODES
 from ..vm.disassembler import disassemble
 from ..vm.interpreter import DEFAULT_MAX_STEPS, StepLimitExceeded, run_module
 from ..vm.program import Module
@@ -146,7 +147,12 @@ class PreparedProgram:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         blob = state["trace"]
-        state.setdefault("dispatch_counts", None)
+        # Raw counts are indexed by opcode number; an array from an
+        # engine with a different numbering cannot be read, so drop it.
+        counts = state.get("dispatch_counts")
+        if counts is not None and len(counts) != NUM_OPCODES:
+            counts = None
+        state["dispatch_counts"] = counts
         # Pre-codec artifacts can only have been GCRT-embedded.
         state.setdefault("codec", "gcrt")
         self.__dict__.update(state)

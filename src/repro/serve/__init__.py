@@ -25,10 +25,9 @@ service:
   hardened shard roots, with minimal-movement rebalancing and the
   :func:`open_store` factory that makes fabrics and plain stores
   interchangeable;
-* :mod:`repro.serve.dispatch` — pluggable job dispatch behind the
-  daemon: the in-process pool (:class:`LocalDispatcher`) or a
-  :class:`FleetDispatcher` routing to N worker daemons with bounded
-  in-flight, requeue-on-loss, priority load-shed, and a
+* :mod:`repro.serve.dispatch` — fleet job dispatch for a front-end
+  daemon: a :class:`FleetDispatcher` routing to N worker daemons with
+  bounded in-flight, requeue-on-loss, priority load-shed, and a
   :class:`HealthMonitor` that probes, ejects, and readmits workers.
 
 Typical use::
@@ -55,12 +54,10 @@ from .daemon import (
     serve,
 )
 from .dispatch import (
-    Dispatcher,
     DispatchOverload,
     FleetDispatcher,
     HealthMonitor,
     Job,
-    LocalDispatcher,
     WorkerSpec,
     load_workers,
 )
@@ -82,13 +79,11 @@ __all__ = [
     "ArtifactRecord",
     "ArtifactStore",
     "CircuitBreaker",
-    "Dispatcher",
     "DispatchOverload",
     "FleetDispatcher",
     "HashRing",
     "HealthMonitor",
     "Job",
-    "LocalDispatcher",
     "QuarantineRecord",
     "ROUTES",
     "RebalanceReport",

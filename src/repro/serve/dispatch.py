@@ -1,25 +1,19 @@
-"""Pluggable job dispatch: one pool, or a fleet of worker daemons.
+"""Fleet job dispatch: jobs routed to N worker daemons.
 
-The daemon and the CLI mint copies by submitting *jobs* — an HTTP-
-shaped ``(route, payload)`` pair — to a :class:`Dispatcher`. Two
-implementations share that contract:
-
-* :class:`LocalDispatcher` — the existing in-process pool, wearing
-  the protocol: jobs run on a ``ProcessPoolExecutor`` (or thread pool)
-  via the same ``service_embed_copy``/``service_recognize`` entry
-  points the daemon uses, fault plans and telemetry riding the pool
-  initializer exactly as before.
-* :class:`FleetDispatcher` — the scale-out path: jobs route to N
-  worker daemons over the existing :class:`~repro.serve.client.
-  ServiceClient` HTTP transport. A poller loop assigns queued jobs to
-  the least-loaded worker with a free slot (**bounded in-flight per
-  worker** — a worker advertises its capacity and is never handed
-  more), invokes **per-job success/error callbacks**, **requeues on
-  worker loss** under the shared seeded :class:`~repro.faults.retry.
-  RetryPolicy` (honoring a 503's ``Retry-After`` over private
-  backoff), and **load-sheds by route priority** when every worker is
-  saturated and the backlog hits its bound — recognitions (the
-  evidence path) outlive embeds (re-mintable at leisure).
+A front-end daemon started with a worker list forwards embed and
+recognize requests as *jobs* — an HTTP-shaped ``(route, payload)``
+pair — to a :class:`FleetDispatcher`, which routes them to N worker
+daemons over the existing :class:`~repro.serve.client.ServiceClient`
+HTTP transport. A poller loop assigns queued jobs to the least-loaded
+worker with a free slot (**bounded in-flight per worker** — a worker
+advertises its capacity and is never handed more), invokes **per-job
+success/error callbacks**, **requeues on worker loss** under the
+shared seeded :class:`~repro.faults.retry.RetryPolicy` (honoring a
+503's ``Retry-After`` over private backoff), and **load-sheds by route
+priority** when every worker is saturated and the backlog hits its
+bound — recognitions (the evidence path) outlive embeds (re-mintable
+at leisure). Without a worker list the daemon runs jobs on its own
+pool (:mod:`repro.serve.daemon`).
 
 Determinism: the dispatcher adds no randomness of its own beyond the
 retry policy's seeded jitter. Job identity, payloads, and results are
@@ -53,24 +47,21 @@ import json
 import random
 import threading
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import faults, obs
 from ..faults.retry import RetryPolicy
 from ..obs.metrics import get_registry
-from ..pipeline.batch import CopySpec, service_embed_copy, service_recognize
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .client import ServiceClient, ServiceError
 
 __all__ = [
-    "Dispatcher",
     "DispatchOverload",
     "FleetDispatcher",
     "HealthMonitor",
     "Job",
-    "LocalDispatcher",
     "ROUTE_PRIORITY",
     "WORKER_EJECTED",
     "WORKER_HEALTHY",
@@ -164,106 +155,6 @@ class Job:
         if not self.future.done():
             self.future.set_exception(exc)
         return True
-
-
-class Dispatcher(Protocol):
-    """What the daemon and CLI require of a job dispatcher."""
-
-    def submit(self, job: Job) -> "Future[Dict[str, Any]]":
-        """Enqueue a job; the future resolves to the response body."""
-        ...
-
-    def stats(self) -> Dict[str, Any]:
-        """A snapshot for gauges/introspection (shape is impl-owned)."""
-        ...
-
-    def close(self) -> None:
-        """Stop accepting work and release resources."""
-        ...
-
-
-# ---------------------------------------------------------------------------
-# Local: the pre-fleet process pool behind the protocol
-# ---------------------------------------------------------------------------
-
-
-class LocalDispatcher:
-    """Jobs run in this process's pool — the PR-4 serving path.
-
-    ``pool`` is caller-owned when provided (the daemon already builds
-    one with fault-plan/telemetry initializers); otherwise a thread
-    pool of ``workers`` is created and owned here. Payloads are the
-    same documents the HTTP API accepts, with ``artifact`` already a
-    full digest.
-    """
-
-    def __init__(
-        self,
-        store_root: str,
-        pool: Optional[Executor] = None,
-        workers: int = 2,
-    ):
-        self.store_root = store_root
-        self._own_pool = pool is None
-        self._pool: Executor = pool or ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-dispatch"
-        )
-        self._submitted = 0
-        self._lock = threading.Lock()
-
-    def _run(self, job: Job) -> Dict[str, Any]:
-        payload = job.payload
-        if job.route not in ("/v1/embed", "/v1/recognize"):
-            raise ValueError(f"no local handler for route {job.route!r}")
-        digest = str(payload["artifact"])
-        codec = payload.get("codec")
-        if job.route == "/v1/embed":
-            spec = CopySpec(
-                copy_id=str(payload["copy_id"]),
-                watermark=int(payload["watermark"]),
-                seed=int(payload.get("seed", 0)),
-            )
-            result = service_embed_copy(
-                self.store_root, digest, spec,
-                self_check=bool(payload.get("self_check", True)),
-                codec=codec,
-            )
-            return {
-                "copy_id": result.copy_id,
-                "artifact": digest,
-                "ok": result.ok,
-                "verified": result.verified,
-                "wall_seconds": result.wall_seconds,
-                "module": result.text,
-            }
-        if job.route == "/v1/recognize":
-            return service_recognize(
-                self.store_root, digest, str(payload["module"]),
-                codec=codec,
-            )
-        raise ValueError(f"no local handler for route {job.route!r}")
-
-    def submit(self, job: Job) -> "Future[Dict[str, Any]]":
-        with self._lock:
-            self._submitted += 1
-        inner = self._pool.submit(self._run, job)
-
-        def _done(f: "Future[Dict[str, Any]]") -> None:
-            exc = f.exception()
-            if exc is None:
-                job._succeed(f.result())
-            else:
-                job._fail(exc)
-
-        inner.add_done_callback(_done)
-        return job.future
-
-    def stats(self) -> Dict[str, Any]:
-        return {"mode": "local", "submitted": self._submitted}
-
-    def close(self) -> None:
-        if self._own_pool:
-            self._pool.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,11 @@ from .program import Function
 from .tracing import BranchEvent, SiteKey
 
 # ---------------------------------------------------------------------------
-# Opcode integers. The numeric layout is load-bearing: the run loop's
-# dispatch tree tests ranges (fused >= OP_FUSED_BASE, hot singles < 10,
-# conditionals in [10, 22), ...), so renumbering requires matching edits
-# in interpreter.py.
+# Opcode integers. This module is the only place the numbering is written
+# down: the run-loop template in interpreter.py interpolates these names
+# and family bounds, and its dispatch tree tests ranges (fused >=
+# OP_FUSED_BASE, hot singles < OP_ICMPEQ, conditionals in
+# [OP_ICMPEQ, OP_GOTO), ...), so each family must stay contiguous.
 # ---------------------------------------------------------------------------
 
 OP_LOAD = 0
@@ -92,52 +93,84 @@ OP_END = 44
 
 OP_FUSED_BASE = 45
 
+#: Names for the fused opcodes, for dispatch-count profiles and
+#: diagnostics. The short forms match the comments below (source kinds
+#: L/C/G, B = binop, I = icmp branch, Z = zero-compare branch, S =
+#: store).
+FUSED_NAMES: Dict[int, str] = {}
+
+#: Opcode -> number of original instructions the slot covers (== the
+#: slot's contribution to ``steps`` and the fall-through advance).
+_WIDTH: List[int] = [1] * OP_FUSED_BASE
+
+
+def _fused(width: int, *names: str) -> range:
+    """Number the next ``len(names)`` fused opcodes densely, each
+    covering ``width`` original instructions."""
+    first = len(_WIDTH)
+    for name in names:
+        FUSED_NAMES[len(_WIDTH)] = name
+        _WIDTH.append(width)
+    return range(first, len(_WIDTH))
+
+
+# Fusion keeps a superinstruction only while some measured workload
+# dispatches it; ``tests/test_vm_fastpath.py`` guards that every entry
+# below still fires.
+#
 # Fused push-push pairs: push <src1>, push <src2>. Source kinds are L
 # (local), C (const), G (global); operands in aa/bb.
-OP_LL2, OP_LC2, OP_LG2, OP_CL2, OP_CC2, OP_CG2, OP_GL2, OP_GC2, OP_GG2 = range(
-    45, 54
+OP_LL2, OP_LC2, OP_LG2, OP_CL2, OP_CC2, OP_GL2, OP_GC2, OP_GG2 = _fused(
+    2, "LL2", "LC2", "LG2", "CL2", "CC2", "GL2", "GC2", "GG2"
 )
 # Fused push-push-binop triples: a = <src1>, b = <src2>, push(a BINOP b).
 # Binop selector in cc. CCB is the constant-folded const/const case
 # (result pre-computed into aa).
-OP_LLB, OP_LCB, OP_LGB, OP_CLB, OP_CGB, OP_GLB, OP_GCB, OP_GGB = range(54, 62)
-OP_CCB = 62
+OP_LLB, OP_LCB, OP_CLB, OP_GLB, OP_GCB, OP_CCB = _fused(
+    3, "LLB", "LCB", "CLB", "GLB", "GCB", "CCB"
+)
 # Fused push-push-compare-branch triples (if_icmp family): a = <src1>,
 # b = <src2>, branch on compare. Comparator selector in cc, dense branch
 # target in dd.
-OP_LLI, OP_LCI, OP_LGI, OP_CLI, OP_CGI, OP_GLI, OP_GCI, OP_GGI = range(63, 71)
+OP_LLI, OP_LCI, OP_LGI, OP_CLI, OP_GCI = _fused(
+    3, "LLI", "LCI", "LGI", "CLI", "GCI"
+)
 # Fused push-binop pairs (second operand from src, first from stack,
 # result replaces the stack top in place). Operand in aa, selector in bb.
-OP_LB, OP_CB, OP_GB = range(71, 74)
+OP_LB, OP_CB = _fused(2, "LB", "CB")
 # Fused push-compare-branch pairs, if_icmp family: b = <src>, a popped.
 # Operand aa, comparator bb, dense target cc.
-OP_LIC, OP_CIC, OP_GIC = range(74, 77)
+OP_LIC, OP_CIC, OP_GIC = _fused(2, "LIC", "CIC", "GIC")
 # Fused push-compare-branch pairs, zero family: a = <src> (no stack
 # traffic at all). Operand aa, comparator bb, dense target cc.
-OP_LIZ, OP_CIZ, OP_GIZ = range(77, 80)
+OP_LIZ, OP_CIZ = _fused(2, "LIZ", "CIZ")
 # Fused binop-store pairs: pop b, pop a, store (a BINOP b) to a local /
 # global slot. Slot in aa, selector in bb.
-OP_BSL, OP_BSG = 80, 81
+OP_BSL, OP_BSG = _fused(2, "BSL", "BSG")
 # Fused push-store pairs: local/const/global straight into a local slot
-# (operand aa, slot bb), and the same three into a global slot.
-OP_LSL, OP_CSL, OP_GSL = 82, 83, 84
-OP_LSG, OP_CSG, OP_GSG = 85, 86, 87
+# (operand aa, slot bb), and local/const into a global slot.
+OP_LSL, OP_CSL, OP_GSL = _fused(2, "LSL", "CSL", "GSL")
+OP_LSG, OP_CSG = _fused(2, "LSG", "CSG")
 # store s1; load s2 — same-slot form keeps the value on the stack.
-OP_SLS, OP_SLD = 88, 89
+OP_SLS, OP_SLD = _fused(2, "SLS", "SLD")
 # store s; goto t    and    iinc s d; goto t
-OP_SGO, OP_IGO = 90, 91
+OP_SGO, OP_IGO = _fused(2, "SGO", "IGO")
 
 # Second-order superinstructions: a first-pass fused slot merged with
 # the next live slot (see :func:`_fuse2`). Operand layouts in the
 # interpreter arms; ``ee`` holds the fifth operand where needed.
-OP_CBS = 95      # const;BINOP;store           -> loc[cc] = pop() OP(bb) aa
-OP_CBB = 96      # const;OP1;OP2;store         -> loc[cc] = pop2 OP2(dd) (pop1 OP1(bb) aa)
-OP_LGC = 97      # load;gload;const;BINOP      -> push loc[aa]; push glob[bb] OP(dd) cc
-OP_GLB2 = 98     # gload;load;OP1;OP2          -> stack[-1] = stack[-1] OP2(dd) (glob[aa] OP1(cc) loc[bb])
-OP_LCBSG = 99    # load;const;BINOP;store;goto -> loc[dd] = loc[aa] OP(cc) bb; pc = ee
-OP_BLB = 100     # OP1;load;OP2                -> b=pop; stack[-1] = (stack[-1] OP1(cc) b) OP2(bb) loc[aa]
-OP_LBCB = 101    # load;OP1;const;OP2          -> stack[-1] = (stack[-1] OP1(bb) loc[aa]) OP2(dd) cc
-OP_BSLLCB = 102  # OP1;store;load;const;OP2    -> loc[aa] = pop2 OP1(bb) pop1; push loc[cc] OP2(ee) dd
+(OP_CBS,) = _fused(3, "CBS")      # const;BINOP;store           -> loc[cc] = pop() OP(bb) aa
+(OP_CBB,) = _fused(4, "CBB")      # const;OP1;OP2;store         -> loc[cc] = pop2 OP2(dd) (pop1 OP1(bb) aa)
+(OP_LGC,) = _fused(4, "LGC")      # load;gload;const;BINOP      -> push loc[aa]; push glob[bb] OP(dd) cc
+(OP_GLB2,) = _fused(4, "GLB2")    # gload;load;OP1;OP2          -> stack[-1] = stack[-1] OP2(dd) (glob[aa] OP1(cc) loc[bb])
+(OP_LCBSG,) = _fused(5, "LCBSG")  # load;const;BINOP;store;goto -> loc[dd] = loc[aa] OP(cc) bb; pc = ee
+(OP_BLB,) = _fused(3, "BLB")      # OP1;load;OP2                -> b=pop; stack[-1] = (stack[-1] OP1(cc) b) OP2(bb) loc[aa]
+(OP_LBCB,) = _fused(4, "LBCB")    # load;OP1;const;OP2          -> stack[-1] = (stack[-1] OP1(bb) loc[aa]) OP2(dd) cc
+(OP_BSLLCB,) = _fused(5, "BSLLCB")  # OP1;store;load;const;OP2  -> loc[aa] = pop2 OP1(bb) pop1; push loc[cc] OP2(ee) dd
+
+#: One past the highest opcode the run loops can dispatch — the size
+#: of a per-opcode dispatch-count array.
+NUM_OPCODES = len(_WIDTH)
 
 _STR2INT: Dict[str, int] = {
     "load": OP_LOAD, "const": OP_CONST, "add": OP_ADD, "store": OP_STORE,
@@ -159,31 +192,6 @@ _STR2INT: Dict[str, int] = {
 #: int opcode -> mnemonic, for diagnostics (fused slots report the
 #: leading component's mnemonic via ``raw_of``).
 INT2STR: Dict[int, str] = {v: k for k, v in _STR2INT.items()}
-
-#: Names for the fused opcodes, for dispatch-count profiles and
-#: diagnostics. The short forms match the comments above (source kinds
-#: L/C/G, B = binop, I = icmp branch, Z = zero-compare branch, S =
-#: store). Kept in one table so a profile row can always be named.
-FUSED_NAMES: Dict[int, str] = {
-    45: "LL2", 46: "LC2", 47: "LG2", 48: "CL2", 49: "CC2", 50: "CG2",
-    51: "GL2", 52: "GC2", 53: "GG2",
-    54: "LLB", 55: "LCB", 56: "LGB", 57: "CLB", 58: "CGB", 59: "GLB",
-    60: "GCB", 61: "GGB", 62: "CCB",
-    63: "LLI", 64: "LCI", 65: "LGI", 66: "CLI", 67: "CGI", 68: "GLI",
-    69: "GCI", 70: "GGI",
-    71: "LB", 72: "CB", 73: "GB",
-    74: "LIC", 75: "CIC", 76: "GIC",
-    77: "LIZ", 78: "CIZ", 79: "GIZ",
-    80: "BSL", 81: "BSG",
-    82: "LSL", 83: "CSL", 84: "GSL", 85: "LSG", 86: "CSG", 87: "GSG",
-    88: "SLS", 89: "SLD", 90: "SGO", 91: "IGO",
-    95: "CBS", 96: "CBB", 97: "LGC", 98: "GLB2", 99: "LCBSG",
-    100: "BLB", 101: "LBCB", 102: "BSLLCB",
-}
-
-#: One past the highest opcode the run loops can dispatch — the size
-#: of a per-opcode dispatch-count array.
-NUM_OPCODES = 103
 
 
 def opcode_name(op: int) -> str:
@@ -211,28 +219,29 @@ SEL_EQ, SEL_NE, SEL_LT, SEL_LE, SEL_GT, SEL_GE = range(6)
 
 _PUSHERS = (OP_LOAD, OP_CONST, OP_GLOAD)
 
-#: (kind1, kind2) -> fused opcode, kinds indexed L=0, C=1, G=2.
+#: (kind1, kind2) -> fused opcode, kinds indexed L=0, C=1, G=2. A
+#: ``None`` (or a missing dict key below) leaves the pattern unfused.
 _PUSH_KIND: Dict[int, int] = {OP_LOAD: 0, OP_CONST: 1, OP_GLOAD: 2}
 _PP2 = (
     (OP_LL2, OP_LC2, OP_LG2),
-    (OP_CL2, OP_CC2, OP_CG2),
+    (OP_CL2, OP_CC2, None),
     (OP_GL2, OP_GC2, OP_GG2),
 )
 _PPB = (
-    (OP_LLB, OP_LCB, OP_LGB),
-    (OP_CLB, OP_CCB, OP_CGB),  # [1][1] replaced by fold handling
-    (OP_GLB, OP_GCB, OP_GGB),
+    (OP_LLB, OP_LCB, None),
+    (OP_CLB, None, None),  # const/const folds to OP_CCB or stays a pair
+    (OP_GLB, OP_GCB, None),
 )
 _PPI = (
     (OP_LLI, OP_LCI, OP_LGI),
-    (OP_CLI, None, OP_CGI),  # const/const compares stay unfused
-    (OP_GLI, OP_GCI, OP_GGI),
+    (OP_CLI, None, None),
+    (None, OP_GCI, None),
 )
-_PB = {OP_LOAD: OP_LB, OP_CONST: OP_CB, OP_GLOAD: OP_GB}
+_PB = {OP_LOAD: OP_LB, OP_CONST: OP_CB}
 _PIC = {OP_LOAD: OP_LIC, OP_CONST: OP_CIC, OP_GLOAD: OP_GIC}
-_PIZ = {OP_LOAD: OP_LIZ, OP_CONST: OP_CIZ, OP_GLOAD: OP_GIZ}
+_PIZ = {OP_LOAD: OP_LIZ, OP_CONST: OP_CIZ}
 _PS_LOCAL = {OP_LOAD: OP_LSL, OP_CONST: OP_CSL, OP_GLOAD: OP_GSL}
-_PS_GLOBAL = {OP_LOAD: OP_LSG, OP_CONST: OP_CSG, OP_GLOAD: OP_GSG}
+_PS_GLOBAL = {OP_LOAD: OP_LSG, OP_CONST: OP_CSG}
 
 #: Pure-ish binops eligible as the arithmetic half of a fused slot.
 #: div/mod may trap, aload bounds-checks — all raise the same VMError at
@@ -358,7 +367,7 @@ def _build(out: CompiledFunction, fn: Function) -> None:
         e_t: Optional[BranchEvent] = None
         e_f: Optional[BranchEvent] = None
         t_sites: Tuple[SiteKey, ...] = ()
-        if 10 <= op < 22:  # conditional branch
+        if OP_ICMPEQ <= op <= OP_IFGE:  # conditional branch
             target = labels[instr.arg]
             a = dense_at[target]
             t_sites = sites_at[target]
@@ -419,162 +428,86 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
     slots; the covered slots keep their original encoding (they are
     only reachable by jumping to a label, and fusion never spans a
     label, so they become dead — kept as-is for safety and for the
-    traced loops, which share these arrays).
+    traced loops, which share these arrays). A push-push triple with
+    no table entry falls back to the push-push pair, as const/const
+    compares always did; any other pattern with no entry leaves slot
+    ``i`` unfused.
     """
     n = len(ops)
     i = 0
     while i < n - 1:
-        op1 = ops[i]
-        op2 = ops[i + 1]
         if (i + 1) in labeled:
             i += 1
             continue
-        op3 = ops[i + 2] if i + 2 < n and (i + 2) not in labeled else None
-
-        if op1 in _PUSHERS:
+        op1 = ops[i]
+        op2 = ops[i + 1]
+        op3 = ops[i + 2] if i + 2 < n and (i + 2) not in labeled else -1
+        fused = None
+        width = 2
+        if op1 in _PUSHERS and op2 in _PUSHERS:
             k1 = _PUSH_KIND[op1]
-            if op3 is not None and op2 in _PUSHERS:
-                k2 = _PUSH_KIND[op2]
-                if op3 in _FUSABLE_BINOPS:
-                    sel = _BINOP_SEL[op3]
-                    if op1 == OP_CONST and op2 == OP_CONST:
-                        fold = _FOLDABLE.get(sel)
-                        if fold is None:
-                            # const/const with a trapping or stateful
-                            # binop: fuse just the pushes.
-                            ops[i] = OP_CC2
-                            bb[i] = aa[i + 1]
-                            fs[i] = fs[i + 1]
-                            i += 2
-                            continue
-                        ops[i] = OP_CCB
-                        aa[i] = wrap64(fold(aa[i], aa[i + 1]))
-                    else:
-                        ops[i] = _PPB[k1][k2]
-                        bb[i] = aa[i + 1]
-                        cc[i] = sel
-                    fs[i] = fs[i + 2]
-                    i += 3
-                    continue
-                if 10 <= op3 < 16:  # if_icmp family
-                    fused = _PPI[k1][k2]
-                    if fused is not None:
-                        ops[i] = fused
-                        bb[i] = aa[i + 1]
-                        cc[i] = op3 - OP_ICMPEQ
-                        dd[i] = aa[i + 2]
-                        evt[i] = evt[i + 2]
-                        evf[i] = evf[i + 2]
-                        ts[i] = ts[i + 2]
-                        fs[i] = fs[i + 2]
-                        i += 3
-                        continue
-                # plain push-push pair
-                ops[i] = _PP2[k1][k2]
+            k2 = _PUSH_KIND[op2]
+            if op3 in _FUSABLE_BINOPS:
+                sel = _BINOP_SEL[op3]
+                fold = _FOLDABLE.get(sel) if op1 == op2 == OP_CONST else None
+                if fold is not None:
+                    fused, width = OP_CCB, 3
+                    aa[i] = wrap64(fold(aa[i], aa[i + 1]))
+                elif _PPB[k1][k2] is not None:
+                    fused, width = _PPB[k1][k2], 3
+                    bb[i] = aa[i + 1]
+                    cc[i] = sel
+            elif OP_ICMPEQ <= op3 <= OP_ICMPGE and _PPI[k1][k2] is not None:
+                fused, width = _PPI[k1][k2], 3
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            if op2 in _PUSHERS:
-                ops[i] = _PP2[k1][_PUSH_KIND[op2]]
+                cc[i] = op3 - OP_ICMPEQ
+                dd[i] = aa[i + 2]
+            if fused is None and _PP2[k1][k2] is not None:
+                fused = _PP2[k1][k2]
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            if op2 in _FUSABLE_BINOPS:
-                ops[i] = _PB[op1]
+        elif op1 in _PUSHERS:
+            if op2 in _FUSABLE_BINOPS and op1 in _PB:
+                fused = _PB[op1]
                 bb[i] = _BINOP_SEL[op2]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            if 10 <= op2 < 16:
-                ops[i] = _PIC[op1]
+            elif OP_ICMPEQ <= op2 <= OP_ICMPGE and op1 in _PIC:
+                fused = _PIC[op1]
                 bb[i] = op2 - OP_ICMPEQ
                 cc[i] = aa[i + 1]
-                evt[i] = evt[i + 1]
-                evf[i] = evf[i + 1]
-                ts[i] = ts[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            if 16 <= op2 < 22:
-                ops[i] = _PIZ[op1]
+            elif OP_IFEQ <= op2 <= OP_IFGE and op1 in _PIZ:
+                fused = _PIZ[op1]
                 bb[i] = op2 - OP_IFEQ
                 cc[i] = aa[i + 1]
-                evt[i] = evt[i + 1]
-                evf[i] = evf[i + 1]
-                ts[i] = ts[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            if op2 == OP_STORE:
-                ops[i] = _PS_LOCAL[op1]
+            elif op2 == OP_STORE:
+                fused = _PS_LOCAL[op1]
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            if op2 == OP_GSTORE:
-                ops[i] = _PS_GLOBAL[op1]
+            elif op2 == OP_GSTORE and op1 in _PS_GLOBAL:
+                fused = _PS_GLOBAL[op1]
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            i += 1
-            continue
-
-        if op1 in _FUSABLE_BINOPS and op2 in (OP_STORE, OP_GSTORE):
-            sel = _BINOP_SEL[op1]
-            ops[i] = OP_BSL if op2 == OP_STORE else OP_BSG
+        elif op1 in _FUSABLE_BINOPS and op2 in (OP_STORE, OP_GSTORE):
+            fused = OP_BSL if op2 == OP_STORE else OP_BSG
+            bb[i] = _BINOP_SEL[op1]
             aa[i] = aa[i + 1]
-            bb[i] = sel
-            fs[i] = fs[i + 1]
-            i += 2
-            continue
-
-        if op1 == OP_STORE:
-            if op2 == OP_LOAD:
-                ops[i] = OP_SLS if aa[i] == aa[i + 1] else OP_SLD
-                bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
-            if op2 == OP_GOTO:
-                ops[i] = OP_SGO
-                bb[i] = aa[i + 1]
-                ts[i] = ts[i + 1]
-                fs[i] = fs[i + 1]
-                i += 2
-                continue
+        elif op1 == OP_STORE and op2 == OP_LOAD:
+            fused = OP_SLS if aa[i] == aa[i + 1] else OP_SLD
+            bb[i] = aa[i + 1]
+        elif op1 == OP_STORE and op2 == OP_GOTO:
+            fused = OP_SGO
+            bb[i] = aa[i + 1]
+        elif op1 == OP_IINC and op2 == OP_GOTO:
+            fused = OP_IGO
+            cc[i] = aa[i + 1]
+        if fused is None:
             i += 1
             continue
-
-        if op1 == OP_IINC and op2 == OP_GOTO:
-            ops[i] = OP_IGO
-            cc[i] = aa[i + 1]
-            ts[i] = ts[i + 1]
-            fs[i] = fs[i + 1]
-            i += 2
-            continue
-
-        i += 1
-
-
-#: Opcode -> number of original instructions the slot covers (== the
-#: slot's contribution to ``steps`` and the fall-through advance).
-#: Public as :func:`slot_width` for dispatch-count profiling.
-def _width(op: int) -> int:
-    if op < OP_FUSED_BASE:
-        return 1
-    if op < OP_LLB:
-        return 2
-    if op < OP_LB:
-        return 3
-    if op < 92:
-        return 2
-    return {
-        OP_CBS: 3, OP_CBB: 4, OP_LGC: 4, OP_GLB2: 4, OP_LCBSG: 5,
-        OP_BLB: 3, OP_LBCB: 4, OP_BSLLCB: 5,
-    }[op]
+        # The fused slot exits the way its last component does: branch
+        # events, jump sites and fall-through sites all come from there.
+        last = i + width - 1
+        ops[i] = fused
+        evt[i] = evt[last]
+        evf[i] = evf[last]
+        ts[i] = ts[last]
+        fs[i] = fs[last]
+        i += width
 
 
 def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
@@ -582,7 +515,7 @@ def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
     successor into one of the ``OP_CBS``.. ``OP_BSLLCB`` superops.
 
     The scan walks exactly the live fall-through chain (slot ``i`` has
-    width ``_width(ops[i])``; components in between are dead unless
+    width ``_WIDTH[ops[i]]``; components in between are dead unless
     labeled, and fusion never covers labeled slots, so ``i + width`` is
     always the next live slot). Merges are blocked when the successor
     is a jump target (``labeled``), which also guarantees no trace
@@ -593,7 +526,7 @@ def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
     n = len(ops)
     i = 0
     while i < n:
-        j = i + _width(ops[i])
+        j = i + _WIDTH[ops[i]]
         if j >= n:
             break
         if j in labeled:
@@ -601,7 +534,7 @@ def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
             continue
         op1 = ops[i]
         op2 = ops[j]
-        nxt = j + _width(op2)
+        nxt = j + _WIDTH[op2]
         fused = True
         if op1 == OP_CB and op2 == OP_STORE:
             ops[i] = OP_CBS
@@ -651,11 +584,8 @@ def slot_width(op: int) -> int:
     ``1`` for every unfused opcode (and the sentinel); the component
     count for superinstructions. A dispatch-count profile multiplied
     through this recovers exact executed-instruction totals.
-    Unassigned opcode numbers (the 92–94 gap) report ``1``.
     """
-    if 92 <= op <= 94:
-        return 1
-    return _width(op)
+    return _WIDTH[op]
 
 
 def compile_function(fn: Function) -> CompiledFunction:

@@ -40,7 +40,19 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from .compiler import NUM_OPCODES, CompiledFunction
+from .compiler import (
+    NUM_OPCODES, OP_FUSED_BASE, CompiledFunction,
+    OP_LOAD, OP_CONST, OP_ADD, OP_STORE, OP_ALOAD, OP_MUL, OP_BAND, OP_SUB,
+    OP_ASTORE, OP_ICMPEQ, OP_IFEQ, OP_GOTO, OP_CALL, OP_RET, OP_GLOAD,
+    OP_GSTORE, OP_DIV, OP_MOD, OP_BOR, OP_BXOR, OP_SHL, OP_NEG, OP_BNOT,
+    OP_DUP, OP_POP, OP_NEWARRAY, OP_ALEN, OP_PRINT, OP_INPUT, OP_NOP, OP_HALT,
+    OP_LL2, OP_LC2, OP_LG2, OP_CL2, OP_CC2, OP_GL2, OP_GC2,
+    OP_LLB, OP_LCB, OP_CLB, OP_GLB, OP_CCB,
+    OP_LLI, OP_LCI, OP_LGI, OP_CLI,
+    OP_LB, OP_LIC, OP_CIC, OP_LIZ, OP_BSL, OP_BSG,
+    OP_LSL, OP_CSL, OP_GSL, OP_LSG, OP_CSG, OP_SLS, OP_SLD, OP_SGO,
+    OP_CBS, OP_CBB, OP_LGC, OP_GLB2, OP_LCBSG, OP_LBCB, OP_BSLLCB,
+)
 from .instructions import wrap64
 from .program import Module
 from .tracing import RunResult, Trace, TracePoint
@@ -303,27 +315,27 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         # coverage is recovered from slot widths at report time.
         emit("            prof[op] += 1")
     # ---- singles -----------------------------------------------------
-    emit("            if op < 45:")
+    emit(f"            if op < {OP_FUSED_BASE}:")
     emit("                steps += 1")
     emit("                if steps > max_steps:")
     emit("                    raise StepLimitExceeded(max_steps, cf.name)")
     IND = "                "
-    emit(f"{IND}if op < 10:")
-    emit(f"{IND}    if op == 0:")  # load
+    emit(f"{IND}if op < {OP_ICMPEQ}:")
+    emit(f"{IND}    if op == {OP_LOAD}:")
     emit(f"{IND}        push(loc[aa[pc]])")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 1:")  # const
+    emit(f"{IND}    if op == {OP_CONST}:")
     emit(f"{IND}        push(aa[pc])")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 2:")  # add
+    emit(f"{IND}    if op == {OP_ADD}:")
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] + b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 3:")  # store
+    emit(f"{IND}    if op == {OP_STORE}:")
     emit(f"{IND}        loc[aa[pc]] = pop()")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 4:")  # aload
+    emit(f"{IND}    if op == {OP_ALOAD}:")
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        a_ = stack[-1]")
     emit(f"{IND}        if not 0 <= a_ < len(heap):")
@@ -335,22 +347,22 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
          f"({{len(_arr)}})')")
     emit(f"{IND}        stack[-1] = _arr[b_]")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 5:")  # mul
+    emit(f"{IND}    if op == {OP_MUL}:")
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] * b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 6:")  # band
+    emit(f"{IND}    if op == {OP_BAND}:")
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] & b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 7:")  # sub
+    emit(f"{IND}    if op == {OP_SUB}:")
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] - b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
     fall(1, IND + "        ")
-    emit(f"{IND}    if op == 8:")  # astore
+    emit(f"{IND}    if op == {OP_ASTORE}:")
     emit(f"{IND}        v = pop()")
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        a_ = pop()")
@@ -368,21 +380,21 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}    v = loc[_i] + bb[pc]")
     emit(f"{IND}    loc[_i] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
     fall(1, IND + "    ")
-    # conditionals 10..21
-    emit(f"{IND}if op < 22:")
-    emit(f"{IND}    if op < 16:")
+    # conditionals
+    emit(f"{IND}if op < {OP_GOTO}:")
+    emit(f"{IND}    if op < {OP_IFEQ}:")
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        a_ = pop()")
-    emit(f"{IND}        sel = op - 10")
+    emit(f"{IND}        sel = op - {OP_ICMPEQ}")
     emit(f"{IND}    else:")
     emit(f"{IND}        a_ = pop()")
     emit(f"{IND}        b_ = 0")
-    emit(f"{IND}        sel = op - 16")
+    emit(f"{IND}        sel = op - {OP_IFEQ}")
     cmp_chain(IND + "    ")
     branch_tail("aa[pc]", 1, IND + "    ")
-    emit(f"{IND}if op == 22:")  # goto
+    emit(f"{IND}if op == {OP_GOTO}:")
     jump_tail("aa[pc]", IND + "    ")
-    emit(f"{IND}if op == 23:")  # call
+    emit(f"{IND}if op == {OP_CALL}:")
     emit(f"{IND}    callee = compiled_get(aa[pc])")
     emit(f"{IND}    if callee is None:")
     emit(f"{IND}        callee = compile_fn(aa[pc])")
@@ -416,7 +428,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{IND}    for _k in cf.entry_sites:")
         emit(f"{IND}        pt_append(TracePoint(_k, _ls, _gs))")
     emit(f"{IND}    continue")
-    emit(f"{IND}if op == 24:")  # ret
+    emit(f"{IND}if op == {OP_RET}:")
     emit(f"{IND}    _v = pop()")
     emit(f"{IND}    if not frames:")
     emit(f"{IND}        halted = True")
@@ -431,22 +443,22 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{IND}    fs = cf.fs; ts = cf.ts")
         snap("fs[pc - 1]", IND + "    ")
     emit(f"{IND}    continue")
-    emit(f"{IND}if op == 25:")  # gload
+    emit(f"{IND}if op == {OP_GLOAD}:")
     emit(f"{IND}    push(glob[aa[pc]])")
     fall(1, IND + "    ")
-    emit(f"{IND}if op == 26:")  # gstore
+    emit(f"{IND}if op == {OP_GSTORE}:")
     emit(f"{IND}    glob[aa[pc]] = pop()")
     fall(1, IND + "    ")
-    emit(f"{IND}if op < 33:")  # div mod bor bxor shl shr (27..32)
+    emit(f"{IND}if op < {OP_NEG}:")  # div mod bor bxor shl shr
     emit(f"{IND}    b_ = pop()")
     emit(f"{IND}    a_ = stack[-1]")
-    emit(f"{IND}    if op == 27:")
+    emit(f"{IND}    if op == {OP_DIV}:")
     emit(f"{IND}        if b_ == 0:")
     emit(f"{IND}            raise VMError('division by zero')")
     emit(f"{IND}        v = abs(a_) // abs(b_)")
     emit(f"{IND}        if (a_ < 0) != (b_ < 0):")
     emit(f"{IND}            v = -v")
-    emit(f"{IND}    elif op == 28:")
+    emit(f"{IND}    elif op == {OP_MOD}:")
     emit(f"{IND}        if b_ == 0:")
     emit(f"{IND}            raise VMError('modulo by zero')")
     emit(f"{IND}        _q = abs(a_) // abs(b_)")
@@ -455,202 +467,193 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}        if not {_MIN64} <= _q <= {_MAX64}:")
     emit(f"{IND}            _q = wrap(_q)")
     emit(f"{IND}        v = a_ - _q * b_")
-    emit(f"{IND}    elif op == 29:")
+    emit(f"{IND}    elif op == {OP_BOR}:")
     emit(f"{IND}        v = a_ | b_")
-    emit(f"{IND}    elif op == 30:")
+    emit(f"{IND}    elif op == {OP_BXOR}:")
     emit(f"{IND}        v = a_ ^ b_")
-    emit(f"{IND}    elif op == 31:")
+    emit(f"{IND}    elif op == {OP_SHL}:")
     emit(f"{IND}        v = a_ << (b_ & 63)")
     emit(f"{IND}    else:")
     emit(f"{IND}        v = a_ >> (b_ & 63)")
     emit(f"{IND}    stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
     fall(1, IND + "    ")
-    emit(f"{IND}if op < 38:")  # neg bnot dup pop swap (33..37)
-    emit(f"{IND}    if op == 33:")
+    emit(f"{IND}if op < {OP_NEWARRAY}:")  # neg bnot dup pop swap
+    emit(f"{IND}    if op == {OP_NEG}:")
     emit(f"{IND}        v = -stack[-1]")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    emit(f"{IND}    elif op == 34:")
+    emit(f"{IND}    elif op == {OP_BNOT}:")
     emit(f"{IND}        v = ~stack[-1]")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    emit(f"{IND}    elif op == 35:")
+    emit(f"{IND}    elif op == {OP_DUP}:")
     emit(f"{IND}        push(stack[-1])")
-    emit(f"{IND}    elif op == 36:")
+    emit(f"{IND}    elif op == {OP_POP}:")
     emit(f"{IND}        pop()")
     emit(f"{IND}    else:")
     emit(f"{IND}        stack[-1], stack[-2] = stack[-2], stack[-1]")
     fall(1, IND + "    ")
-    emit(f"{IND}if op == 38:")  # newarray
+    emit(f"{IND}if op == {OP_NEWARRAY}:")
     emit(f"{IND}    _n = pop()")
     emit(f"{IND}    if _n < 0 or _n > 10_000_000:")
     emit(f"{IND}        raise VMError(f'bad array length {{_n}}')")
     emit(f"{IND}    heap_append([0] * _n)")
     emit(f"{IND}    push(len(heap) - 1)")
     fall(1, IND + "    ")
-    emit(f"{IND}if op == 39:")  # alen
+    emit(f"{IND}if op == {OP_ALEN}:")
     emit(f"{IND}    a_ = stack[-1]")
     emit(f"{IND}    if not 0 <= a_ < len(heap):")
     emit(f"{IND}        raise VMError(f'bad array reference {{a_}}')")
     emit(f"{IND}    stack[-1] = len(heap[a_])")
     fall(1, IND + "    ")
-    emit(f"{IND}if op == 40:")  # print
+    emit(f"{IND}if op == {OP_PRINT}:")
     emit(f"{IND}    out_append(pop())")
     fall(1, IND + "    ")
-    emit(f"{IND}if op == 41:")  # input
+    emit(f"{IND}if op == {OP_INPUT}:")
     emit(f"{IND}    if input_pos >= n_inputs:")
     emit(f"{IND}        raise VMError('input sequence exhausted')")
     emit(f"{IND}    push(inputs[input_pos])")
     emit(f"{IND}    input_pos += 1")
     fall(1, IND + "    ")
-    emit(f"{IND}if op == 42:")  # nop
+    emit(f"{IND}if op == {OP_NOP}:")
     fall(1, IND + "    ")
-    emit(f"{IND}if op == 43:")  # halt
+    emit(f"{IND}if op == {OP_HALT}:")
     emit(f"{IND}    halted = True")
     emit(f"{IND}    break")
     # OP_END sentinel
     emit(f"{IND}raise VMError(f'{{cf.name}}: fell off the end of the code')")
     # ---- fused slots -------------------------------------------------
     J = "            "
-    emit(f"{J}elif op < 63:")
-    emit(f"{J}    if op < 54:")  # push-push pairs, +2 steps
+    emit(f"{J}elif op < {OP_LLI}:")
+    emit(f"{J}    if op < {OP_LLB}:")  # push-push pairs, +2 steps
     emit(f"{J}        steps += 2")
     emit(f"{J}        if steps > max_steps:")
     emit(f"{J}            raise StepLimitExceeded(max_steps, cf.name)")
     K = J + "        "
     for opn, (s1, s2) in {
-        45: ("loc[aa[pc]]", "loc[bb[pc]]"),
-        46: ("loc[aa[pc]]", "bb[pc]"),
-        47: ("loc[aa[pc]]", "glob[bb[pc]]"),
-        48: ("aa[pc]", "loc[bb[pc]]"),
-        49: ("aa[pc]", "bb[pc]"),
-        50: ("aa[pc]", "glob[bb[pc]]"),
-        51: ("glob[aa[pc]]", "loc[bb[pc]]"),
-        52: ("glob[aa[pc]]", "bb[pc]"),
+        OP_LL2: ("loc[aa[pc]]", "loc[bb[pc]]"),
+        OP_LC2: ("loc[aa[pc]]", "bb[pc]"),
+        OP_LG2: ("loc[aa[pc]]", "glob[bb[pc]]"),
+        OP_CL2: ("aa[pc]", "loc[bb[pc]]"),
+        OP_CC2: ("aa[pc]", "bb[pc]"),
+        OP_GL2: ("glob[aa[pc]]", "loc[bb[pc]]"),
+        OP_GC2: ("glob[aa[pc]]", "bb[pc]"),
     }.items():
         emit(f"{K}if op == {opn}:")
         emit(f"{K}    push({s1})")
         emit(f"{K}    push({s2})")
         fall(2, K + "    ")
-    emit(f"{K}push(glob[aa[pc]])")  # 53 GG2
+    emit(f"{K}push(glob[aa[pc]])")  # GG2
     emit(f"{K}push(glob[bb[pc]])")
     fall(2, K)
     emit(f"{J}    else:")  # push-push-binop triples, +3 steps
     emit(f"{J}        steps += 3")
     emit(f"{J}        if steps > max_steps:")
     emit(f"{J}            raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}if op == 62:")  # CCB constant-folded
+    emit(f"{K}if op == {OP_CCB}:")  # constant-folded
     emit(f"{K}    push(aa[pc])")
     fall(3, K + "    ")
     for opn, (s1, s2) in {
-        54: ("loc[aa[pc]]", "loc[bb[pc]]"),
-        55: ("loc[aa[pc]]", "bb[pc]"),
-        56: ("loc[aa[pc]]", "glob[bb[pc]]"),
-        57: ("aa[pc]", "loc[bb[pc]]"),
-        58: ("aa[pc]", "glob[bb[pc]]"),
-        59: ("glob[aa[pc]]", "loc[bb[pc]]"),
-        60: ("glob[aa[pc]]", "bb[pc]"),
+        OP_LLB: ("loc[aa[pc]]", "loc[bb[pc]]"),
+        OP_LCB: ("loc[aa[pc]]", "bb[pc]"),
+        OP_CLB: ("aa[pc]", "loc[bb[pc]]"),
+        OP_GLB: ("glob[aa[pc]]", "loc[bb[pc]]"),
     }.items():
-        emit(f"{K}{'if' if opn == 54 else 'elif'} op == {opn}:")
+        emit(f"{K}{'if' if opn == OP_LLB else 'elif'} op == {opn}:")
         emit(f"{K}    a_ = {s1}; b_ = {s2}")
-    emit(f"{K}else:")  # 61 GGB
-    emit(f"{K}    a_ = glob[aa[pc]]; b_ = glob[bb[pc]]")
+    emit(f"{K}else:")  # GCB
+    emit(f"{K}    a_ = glob[aa[pc]]; b_ = bb[pc]")
     emit(f"{K}sel = cc[pc]")
     binop_chain(lambda v: f"push({v})", 3, K)
-    emit(f"{J}elif op < 71:")  # push-push-compare triples, +3 steps
+    emit(f"{J}elif op < {OP_LB}:")  # push-push-compare triples, +3 steps
     emit(f"{J}    steps += 3")
     emit(f"{J}    if steps > max_steps:")
     emit(f"{J}        raise StepLimitExceeded(max_steps, cf.name)")
     K = J + "    "
     for opn, (s1, s2) in {
-        63: ("loc[aa[pc]]", "loc[bb[pc]]"),
-        64: ("loc[aa[pc]]", "bb[pc]"),
-        65: ("loc[aa[pc]]", "glob[bb[pc]]"),
-        66: ("aa[pc]", "loc[bb[pc]]"),
-        67: ("aa[pc]", "glob[bb[pc]]"),
-        68: ("glob[aa[pc]]", "loc[bb[pc]]"),
-        69: ("glob[aa[pc]]", "bb[pc]"),
+        OP_LLI: ("loc[aa[pc]]", "loc[bb[pc]]"),
+        OP_LCI: ("loc[aa[pc]]", "bb[pc]"),
+        OP_LGI: ("loc[aa[pc]]", "glob[bb[pc]]"),
+        OP_CLI: ("aa[pc]", "loc[bb[pc]]"),
     }.items():
-        emit(f"{K}{'if' if opn == 63 else 'elif'} op == {opn}:")
+        emit(f"{K}{'if' if opn == OP_LLI else 'elif'} op == {opn}:")
         emit(f"{K}    a_ = {s1}; b_ = {s2}")
-    emit(f"{K}else:")  # 70 GGI
-    emit(f"{K}    a_ = glob[aa[pc]]; b_ = glob[bb[pc]]")
+    emit(f"{K}else:")  # GCI
+    emit(f"{K}    a_ = glob[aa[pc]]; b_ = bb[pc]")
     emit(f"{K}sel = cc[pc]")
     cmp_chain(K)
     branch_tail("dd[pc]", 3, K)
-    emit(f"{J}elif op < 80:")  # push-binop / push-compare pairs, +2
+    emit(f"{J}elif op < {OP_BSL}:")  # push-binop / push-compare pairs, +2
     emit(f"{J}    steps += 2")
     emit(f"{J}    if steps > max_steps:")
     emit(f"{J}        raise StepLimitExceeded(max_steps, cf.name)")
     K = J + "    "
-    emit(f"{K}if op < 74:")  # LB CB GB: in-place binop with stack top
-    emit(f"{K}    if op == 71:")
+    emit(f"{K}if op < {OP_LIC}:")  # LB CB: in-place binop with stack top
+    emit(f"{K}    if op == {OP_LB}:")
     emit(f"{K}        b_ = loc[aa[pc]]")
-    emit(f"{K}    elif op == 72:")
-    emit(f"{K}        b_ = aa[pc]")
     emit(f"{K}    else:")
-    emit(f"{K}        b_ = glob[aa[pc]]")
+    emit(f"{K}        b_ = aa[pc]")
     emit(f"{K}    a_ = stack[-1]")
     emit(f"{K}    sel = bb[pc]")
     binop_chain(lambda v: f"stack[-1] = {v}", 2, K + "    ")
-    emit(f"{K}if op < 77:")  # LIC CIC GIC: b from src, a popped
-    emit(f"{K}    if op == 74:")
+    emit(f"{K}if op < {OP_LIZ}:")  # LIC CIC GIC: b from src, a popped
+    emit(f"{K}    if op == {OP_LIC}:")
     emit(f"{K}        b_ = loc[aa[pc]]")
-    emit(f"{K}    elif op == 75:")
+    emit(f"{K}    elif op == {OP_CIC}:")
     emit(f"{K}        b_ = aa[pc]")
     emit(f"{K}    else:")
     emit(f"{K}        b_ = glob[aa[pc]]")
     emit(f"{K}    a_ = pop()")
-    emit(f"{K}else:")  # LIZ CIZ GIZ: a from src, compare against zero
-    emit(f"{K}    if op == 77:")
+    emit(f"{K}else:")  # LIZ CIZ: a from src, compare against zero
+    emit(f"{K}    if op == {OP_LIZ}:")
     emit(f"{K}        a_ = loc[aa[pc]]")
-    emit(f"{K}    elif op == 78:")
-    emit(f"{K}        a_ = aa[pc]")
     emit(f"{K}    else:")
-    emit(f"{K}        a_ = glob[aa[pc]]")
+    emit(f"{K}        a_ = aa[pc]")
     emit(f"{K}    b_ = 0")
     emit(f"{K}sel = bb[pc]")
     cmp_chain(K)
     branch_tail("cc[pc]", 2, K)
-    emit(f"{J}elif op < 95:")  # binop-store / push-store / store-load, +2
+    emit(f"{J}elif op < {OP_CBS}:")  # binop-store / push-store / store-load, +2
     emit(f"{J}    steps += 2")
     emit(f"{J}    if steps > max_steps:")
     emit(f"{J}        raise StepLimitExceeded(max_steps, cf.name)")
     K = J + "    "
-    emit(f"{K}if op == 80:")  # BSL
+    emit(f"{K}if op == {OP_BSL}:")
     emit(f"{K}    b_ = pop()")
     emit(f"{K}    a_ = pop()")
     emit(f"{K}    sel = bb[pc]")
     binop_chain(lambda v: f"loc[aa[pc]] = {v}", 2, K + "    ")
-    emit(f"{K}if op == 81:")  # BSG
+    emit(f"{K}if op == {OP_BSG}:")
     emit(f"{K}    b_ = pop()")
     emit(f"{K}    a_ = pop()")
     emit(f"{K}    sel = bb[pc]")
     binop_chain(lambda v: f"glob[aa[pc]] = {v}", 2, K + "    ")
-    for opn, src in ((82, "loc[aa[pc]]"), (83, "aa[pc]"), (84, "glob[aa[pc]]")):
+    for opn, src in (
+        (OP_LSL, "loc[aa[pc]]"), (OP_CSL, "aa[pc]"), (OP_GSL, "glob[aa[pc]]"),
+    ):
         emit(f"{K}if op == {opn}:")
         emit(f"{K}    loc[bb[pc]] = {src}")
         fall(2, K + "    ")
-    for opn, src in ((85, "loc[aa[pc]]"), (86, "aa[pc]"), (87, "glob[aa[pc]]")):
+    for opn, src in ((OP_LSG, "loc[aa[pc]]"), (OP_CSG, "aa[pc]")):
         emit(f"{K}if op == {opn}:")
         emit(f"{K}    glob[bb[pc]] = {src}")
         fall(2, K + "    ")
-    emit(f"{K}if op == 88:")  # store s; load s
+    emit(f"{K}if op == {OP_SLS}:")  # store s; load s
     emit(f"{K}    loc[aa[pc]] = stack[-1]")
     fall(2, K + "    ")
-    emit(f"{K}if op == 89:")  # store s1; load s2
+    emit(f"{K}if op == {OP_SLD}:")  # store s1; load s2
     emit(f"{K}    loc[aa[pc]] = pop()")
     emit(f"{K}    push(loc[bb[pc]])")
     fall(2, K + "    ")
-    emit(f"{K}if op == 90:")  # store s; goto t
+    emit(f"{K}if op == {OP_SGO}:")  # store s; goto t
     emit(f"{K}    loc[aa[pc]] = pop()")
     jump_tail("bb[pc]", K + "    ")
-    emit(f"{K}_i = aa[pc]")  # 91: iinc s d; goto t
+    emit(f"{K}_i = aa[pc]")  # IGO: iinc s d; goto t
     emit(f"{K}v = loc[_i] + bb[pc]")
     emit(f"{K}loc[_i] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
     jump_tail("cc[pc]", K)
     # ---- second-order superinstructions ------------------------------
     emit(f"{J}else:")
     K = J + "    "
-    emit(f"{K}if op == 99:")  # LCBSG: load;const;BINOP;store;goto
+    emit(f"{K}if op == {OP_LCBSG}:")  # load;const;BINOP;store;goto
     emit(f"{K}    steps += 5")
     emit(f"{K}    if steps > max_steps:")
     emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
@@ -661,7 +664,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         lambda v: f"loc[dd[pc]] = {v}", 5, K + "    ",
         tail=lambda ind2: jump_tail("ee[pc]", ind2),
     )
-    emit(f"{K}if op == 98:")  # GLB2: gload;load;OP1;OP2
+    emit(f"{K}if op == {OP_GLB2}:")  # gload;load;OP1;OP2
     emit(f"{K}    steps += 4")
     emit(f"{K}    if steps > max_steps:")
     emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
@@ -670,7 +673,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{K}    b_ = t_")
     emit(f"{K}    sel = dd[pc]")
     binop_chain(lambda v: f"stack[-1] = {v}", 4, K + "    ")
-    emit(f"{K}if op == 101:")  # LBCB: load;OP1;const;OP2
+    emit(f"{K}if op == {OP_LBCB}:")  # load;OP1;const;OP2
     emit(f"{K}    steps += 4")
     emit(f"{K}    if steps > max_steps:")
     emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
@@ -679,7 +682,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{K}    b_ = cc[pc]")
     emit(f"{K}    sel = dd[pc]")
     binop_chain(lambda v: f"stack[-1] = {v}", 4, K + "    ")
-    emit(f"{K}if op == 102:")  # BSLLCB: OP1;store;load;const;OP2
+    emit(f"{K}if op == {OP_BSLLCB}:")  # OP1;store;load;const;OP2
     emit(f"{K}    steps += 5")
     emit(f"{K}    if steps > max_steps:")
     emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
@@ -691,7 +694,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{K}    b_ = dd[pc]")
     emit(f"{K}    sel = ee[pc]")
     binop_chain(lambda v: f"push({v})", 5, K + "    ")
-    emit(f"{K}if op == 97:")  # LGC: load;gload;const;BINOP
+    emit(f"{K}if op == {OP_LGC}:")  # load;gload;const;BINOP
     emit(f"{K}    steps += 4")
     emit(f"{K}    if steps > max_steps:")
     emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
@@ -700,7 +703,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{K}    b_ = cc[pc]")
     emit(f"{K}    sel = dd[pc]")
     binop_chain(lambda v: f"push({v})", 4, K + "    ")
-    emit(f"{K}if op == 95:")  # CBS: const;BINOP;store
+    emit(f"{K}if op == {OP_CBS}:")  # const;BINOP;store
     emit(f"{K}    steps += 3")
     emit(f"{K}    if steps > max_steps:")
     emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
@@ -708,7 +711,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{K}    b_ = aa[pc]")
     emit(f"{K}    sel = bb[pc]")
     binop_chain(lambda v: f"loc[cc[pc]] = {v}", 3, K + "    ")
-    emit(f"{K}if op == 96:")  # CBB: const;OP1;OP2;store
+    emit(f"{K}if op == {OP_CBB}:")  # const;OP1;OP2;store
     emit(f"{K}    steps += 4")
     emit(f"{K}    if steps > max_steps:")
     emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
@@ -718,7 +721,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{K}    b_ = t_")
     emit(f"{K}    sel = dd[pc]")
     binop_chain(lambda v: f"loc[cc[pc]] = {v}", 4, K + "    ")
-    # 100: BLB: OP1;load;OP2
+    # BLB: OP1;load;OP2
     emit(f"{K}steps += 3")
     emit(f"{K}if steps > max_steps:")
     emit(f"{K}    raise StepLimitExceeded(max_steps, cf.name)")
@@ -734,7 +737,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     # so the cold error path replays the deterministic program on the
     # reference engine to recover the seed-identical diagnostic.
     emit("    except IndexError:")
-    emit("        if op >= 45:")
+    emit(f"        if op >= {OP_FUSED_BASE}:")
     emit("            _exc = _seed_diagnostic_replay(module, inputs,"
          " max_steps)")
     emit("            if _exc is not None:")

@@ -9,7 +9,8 @@ decrypt every window, count every hit once — and checks that:
 * the scan stages (``extract_candidates``, ``symbol_votes``) return the
   same multisets in the same insertion order;
 * each codec's ``decode`` returns a field-for-field equal
-  :class:`~repro.core.recovery.RecoveryResult`, on random bit-strings
+  :class:`~repro.core.recovery.RecoveryResult` (its distinct-window
+  count checked against the bit-string's), on random bit-strings
   with hot-loop repetition and on embedded-then-attacked ones;
 * ``decrypt_block`` runs exactly once per distinct window — once in
   total for ``hybrid``, whose two channels share one table.
@@ -101,7 +102,12 @@ def reference_decode(codec, bits, width, cipher):
         patch(mock.patch.object(rs_module, "symbol_votes", ref_symbol_votes))
         patch(mock.patch.object(
             hybrid_module, "symbol_votes", ref_symbol_votes))
-        return codec.decode(bits, width, cipher)
+        result = codec.decode(bits, width, cipher)
+    # The loops decrypt every window, so the distinct count is taken
+    # straight from the bit-string.
+    result.windows_distinct = len(
+        {packed for _, packed in sliding_windows(list(bits), 64)})
+    return result
 
 
 def ordered(result):

@@ -17,12 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import faults, obs
-from repro.bytecode_wm.keys import WatermarkKey
 from repro.faults import FaultPlan, FaultRule
 from repro.faults.retry import RetryPolicy
 from repro.obs.journal import HubConfig, TelemetryHub
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import prepare
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.dispatch import (
     WORKER_EJECTED,
@@ -34,14 +32,9 @@ from repro.serve.dispatch import (
     FleetDispatcher,
     HealthMonitor,
     Job,
-    LocalDispatcher,
     WorkerSpec,
     load_workers,
 )
-from repro.serve.store import ArtifactStore
-from repro.workloads import gcd_module
-
-KEY = WatermarkKey(secret=b"dispatch-key", inputs=[25, 10])
 
 
 @pytest.fixture(autouse=True)
@@ -175,43 +168,6 @@ def _wait_for(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return False
-
-
-# ---------------------------------------------------------------------------
-# LocalDispatcher: the in-process pool behind the protocol
-# ---------------------------------------------------------------------------
-
-
-class TestLocalDispatcher:
-    def test_embed_then_recognize_roundtrip(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "store"))
-        record = store.put(prepare(gcd_module(), KEY, 16, 8))
-        dispatcher = LocalDispatcher(store.root, workers=1)
-        try:
-            embed = dispatcher.submit(Job("/v1/embed", {
-                "artifact": record.digest, "copy_id": "c0",
-                "watermark": 5, "seed": 1,
-            })).result(timeout=60)
-            assert embed["ok"] and embed["copy_id"] == "c0"
-            recog = dispatcher.submit(Job("/v1/recognize", {
-                "artifact": record.digest, "module": embed["module"],
-            })).result(timeout=60)
-            assert recog["complete"] and recog["value"] == 5
-            assert dispatcher.stats()["submitted"] == 2
-        finally:
-            dispatcher.close()
-
-    def test_unknown_route_fails_the_future(self, tmp_path):
-        dispatcher = LocalDispatcher(str(tmp_path), workers=1)
-        failures = []
-        try:
-            job = Job("/v1/nonsense", {},
-                      on_error=lambda j, exc: failures.append(exc))
-            with pytest.raises(ValueError, match="no local handler"):
-                dispatcher.submit(job).result(timeout=10)
-            assert len(failures) == 1
-        finally:
-            dispatcher.close()
 
 
 # ---------------------------------------------------------------------------

@@ -303,9 +303,12 @@ class TestDispatchProfile:
         )
         assert opcode_name(OP_FUSED_BASE) in dict(profile.top(5))
 
-    def test_gap_opcodes_have_width_one(self):
-        for op in (92, 93, 94):
-            assert slot_width(op) == 1
+    def test_opcode_numbering_is_dense(self):
+        """Every dispatchable opcode is named and has a width; no gaps."""
+        for op in range(NUM_OPCODES):
+            assert not opcode_name(op).startswith("op")
+            assert (slot_width(op) == 1) == (op < OP_FUSED_BASE)
+        assert opcode_name(NUM_OPCODES) == f"op{NUM_OPCODES}"
 
     def test_merge_and_round_trip(self):
         module = gcd_module()
@@ -348,13 +351,13 @@ class TestRecognitionReport:
     def test_bytecode_summary_shows_funnel(self):
         report = RecognitionReport(
             scheme="bytecode", complete=False,
-            windows_inspected=100, window_hits=0,
+            windows_inspected=100, windows_distinct=60, window_hits=0,
             moduli=[7, 11], moduli_missing=[0, 1],
             notes=["nothing decoded"],
         )
         text = report.summary()
         assert "NOT recovered" in text
-        assert "100 decrypt attempts" in text
+        assert "100 scanned, 60 distinct decrypted" in text
         assert "p_0=7" in text and "p_1=11" in text
         assert "note: nothing decoded" in text
 

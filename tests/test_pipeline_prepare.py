@@ -16,6 +16,7 @@ from repro.pipeline import (
     resolve_piece_count,
 )
 from repro.vm import assemble, disassemble, run_module
+from repro.vm.compiler import NUM_OPCODES
 from repro.workloads import collatz_module, gcd_module
 
 KEY = WatermarkKey(secret=b"pldi-2004", inputs=[25, 10])
@@ -97,6 +98,15 @@ class TestPickleRoundTrip:
         for event in p.trace.branches:
             assert id(event.branch) in instrs
             assert id(event.follower) in instrs
+
+    def test_dispatch_counts_from_another_numbering_are_dropped(self):
+        p = prepare(gcd_module(), KEY, 16, profile=True)
+        assert len(p.dispatch_counts) == NUM_OPCODES
+        assert pickle.loads(pickle.dumps(p)).dispatch_counts == p.dispatch_counts
+        p.dispatch_counts = [1] * 103  # an older engine's opcode layout
+        loaded = pickle.loads(pickle.dumps(p))
+        assert loaded.dispatch_counts is None
+        assert loaded.trace.branches
 
     def test_save_load(self, tmp_path):
         path = str(tmp_path / "prep.pkl")

@@ -102,12 +102,15 @@ class TestZeroHitFunnel:
         bits = [rng.randrange(2) for _ in range(600)]
         result, report = _bits_report(bits)
         assert result.windows_inspected > 0
+        assert 0 < result.windows_distinct <= result.windows_inspected
+        assert report.windows_distinct == result.windows_distinct
         assert not result.complete
         if result.candidates_found == 0:
             assert any("no window decrypted" in n for n in report.notes)
         text = report.summary()
         assert "NOT recovered" in text
-        assert "decrypt attempts" in text
+        assert f"{result.windows_inspected} scanned" in text
+        assert f"{result.windows_distinct} distinct decrypted" in text
 
     def test_wrong_key_on_marked_module_fails_with_diagnostics(self):
         marked = embed(
@@ -148,7 +151,7 @@ class TestDiagnoseCLI:
         captured = capsys.readouterr()
         assert rc == 1
         assert "bytecode recognition" in captured.err
-        assert "decrypt attempts" in captured.err
+        assert "distinct decrypted" in captured.err
         assert "no watermark recovered" in captured.err
 
     def test_recognize_diagnose_on_success(self, marked_path, capsys):

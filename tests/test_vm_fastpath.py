@@ -10,9 +10,13 @@ makes the fast path fast.
 """
 
 import io
+import random
 
 import pytest
 
+from repro.bytecode_wm import WatermarkKey, embed
+from repro.campaign.attacks import campaign_attacks
+from repro.campaign.generator import generate_program
 from repro.vm import (
     Interpreter,
     StepLimitExceeded,
@@ -22,14 +26,18 @@ from repro.vm import (
     run_module,
 )
 from repro.vm._reference import run_module_reference
+from repro.vm.compiler import FUSED_NAMES, NUM_OPCODES
 from repro.workloads import (
     CAFFEINEMARK_INPUT,
     JESS_INPUT,
+    SPEC_PROGRAMS,
+    SPEC_TRAIN_INPUT,
     argc_secret_module,
     caffeinemark_module,
     collatz_module,
     gcd_module,
     jess_module,
+    spec_vm,
 )
 
 WORKLOADS = [
@@ -283,3 +291,45 @@ class TestEngineApi:
         del module.functions["helper"]
         with pytest.raises(VMError, match="unknown function"):
             interp.run()
+
+
+#: Marked-then-attacked copies that reach the fusions no unmarked
+#: workload does: (program, attack at full intensity, attack seed).
+_ATTACKED_COPIES = (
+    ("jess", "noop-insertion", 2),     # GIC
+    ("jess", "combined-layout", 7),    # IGO, BSG
+    ("vortex", "noop-insertion", 9),   # GC2
+)
+
+
+@pytest.mark.slow
+def test_every_superinstruction_dispatches():
+    """A fusion earns its opcode only while some workload dispatches it.
+
+    Runs the unmarked workloads (jess, CaffeineMark, the SPEC kernels,
+    50 generated programs) plus a few pinned marked+attacked copies on
+    the profiled loop and names every superinstruction that never fired.
+    """
+    programs = {
+        "jess": (jess_module, JESS_INPUT),
+        "caffeinemark": (caffeinemark_module, CAFFEINEMARK_INPUT),
+    }
+    for name in SPEC_PROGRAMS:
+        programs[name] = (lambda name=name: spec_vm(name)), SPEC_TRAIN_INPUT
+    runs = [(factory(), inputs) for factory, inputs in programs.values()]
+    runs += [(g.module(), g.inputs) for g in map(generate_program, range(50))]
+    attacks = {schedule.name: schedule for schedule in campaign_attacks()}
+    for name, attack, seed in _ATTACKED_COPIES:
+        factory, inputs = programs[name]
+        key = WatermarkKey(secret=b"fusion-guard", inputs=list(inputs))
+        marked = embed(factory(), 0xC0FFEE0DDBA11, key, watermark_bits=64)
+        copy = attacks[attack].apply(marked.module, 1.0, random.Random(seed))
+        runs.append((copy, inputs))
+
+    counts = [0] * NUM_OPCODES
+    for module, inputs in runs:
+        profile = run_module(module, inputs, profile=True).dispatch_counts
+        for op, n in enumerate(profile):
+            counts[op] += n
+    idle = sorted(name for op, name in FUSED_NAMES.items() if not counts[op])
+    assert not idle, f"superinstructions never dispatched: {', '.join(idle)}"
