@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""CI-gated benchmark regression harness for the WVM engine.
+"""CI-gated benchmark regression harness for the WVM and N32 engines.
 
 Runs the interpreter micro-benchmarks (fast engine vs the seed
-reference engine, interleaved in the same process) plus, with
+reference engine, interleaved in the same process, for both the WVM
+and the N32 machine) plus, with
 ``--figures``, the ``benchmarks/test_*`` figure reproductions under
 pytest-benchmark, and writes a schema-versioned ``BENCH_<date>.json``
 report with per-benchmark median, IQR and steps/sec.
@@ -22,7 +23,8 @@ still recorded (they are what humans read) but never gated.
 Deterministic work counts are gated **exactly** (``"gate": "exact"``):
 the ``decrypt_block`` calls and distinct 64-bit trace windows of one
 fixed-key CaffeineMark recognize under each codec, and the total and
-fused dispatch counts of the profiled jess and CaffeineMark runs. They
+fused dispatch counts of the profiled jess and CaffeineMark runs, and
+the instruction counts of the N32 bzip2 and gzip kernels. They
 depend on the algorithm, not the machine, so any change to them is a
 change in what recognition or the engine does — e.g. a codec going
 back to decrypting every window, the hybrid codec scanning its trace
@@ -70,6 +72,13 @@ from repro.bytecode_wm.recognizer import (  # noqa: E402
 )
 from repro.core.bitstring import sliding_windows  # noqa: E402
 from repro.core.cipher import BlockCipher  # noqa: E402
+from repro.native._reference import (  # noqa: E402
+    OracleMachine,
+    run_image_reference,
+)
+from repro.native.machine import run_image  # noqa: E402
+import repro.native_wm.extractor as native_extractor  # noqa: E402
+from repro.native_wm import embed_native  # noqa: E402
 from repro.obs.vmprofile import profile_run  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
@@ -82,6 +91,7 @@ from repro.workloads.jesslike import (  # noqa: E402
     DEFAULT_INPUT as JESS_INPUT,
     jess_module,
 )
+from repro.workloads.spec import TRAIN_INPUT, spec_native  # noqa: E402
 
 SCHEMA = "wvm-bench/1"
 DEFAULT_BASELINE = os.path.join(HERE, "baseline.json")
@@ -104,6 +114,20 @@ def _time_run(fn: Callable[[], object]) -> Tuple[float, object]:
     t0 = time.perf_counter()
     result = fn()
     return time.perf_counter() - t0, result
+
+
+def _seconds(times: List[float], repeats: int, steps: int) -> dict:
+    """An ungated wall-time entry with its steps/sec."""
+    med, iqr = _median_iqr(times)
+    return {
+        "unit": "seconds",
+        "median": med,
+        "iqr": iqr,
+        "repeats": repeats,
+        "steps": steps,
+        "steps_per_sec": steps / med,
+        "gate": None,
+    }
 
 
 def _engine_pair(
@@ -139,16 +163,8 @@ def _engine_pair(
 
     mode = trace_mode or "untraced"
     for engine, times in (("reference", ref_times), ("fast", fast_times)):
-        med, iqr = _median_iqr(times)
-        results[f"vm.{name}.{mode}.{engine}"] = {
-            "unit": "seconds",
-            "median": med,
-            "iqr": iqr,
-            "repeats": repeats,
-            "steps": steps,
-            "steps_per_sec": steps / med,
-            "gate": None,
-        }
+        results[f"vm.{name}.{mode}.{engine}"] = _seconds(
+            times, repeats, steps)
     ratios = [r / f for r, f in zip(ref_times, fast_times)]
     med, iqr = _median_iqr(ratios)
     results[f"vm.{name}.{mode}.speedup"] = {
@@ -158,6 +174,74 @@ def _engine_pair(
         "repeats": repeats,
         "gate": "min",
     }
+
+
+def _identify_on_seed(image, inputs):
+    with mock.patch.object(native_extractor, "Machine", OracleMachine):
+        return native_extractor.identify_branch_function(image, inputs)
+
+
+def _native_pair(
+    kernel: str, mode: str, repeats: int, results: Dict[str, dict]
+) -> None:
+    """Seed vs fast N32 engine on one SPEC kernel, interleaved.
+
+    ``untraced`` times ``run_image`` on both engines and requires equal
+    output and steps. ``watched`` times ``identify_branch_function`` on
+    a marked copy: on the seed engine its hook runs at every step, on
+    the fast engine only at the calls and rets it watches; both must
+    identify the copy's branch function.
+    """
+    image = spec_native(kernel)
+    if mode == "watched":
+        marked = embed_native(image, WORK_MARK & 0xFFFFFFFF, 32, TRAIN_INPUT,
+                              rng_seed=1)
+        image = marked.image
+    steps = run_image(image, TRAIN_INPUT).steps
+    ref_times: List[float] = []
+    fast_times: List[float] = []
+    for _ in range(repeats):
+        if mode == "untraced":
+            t_ref, res_ref = _time_run(
+                lambda: run_image_reference(image, TRAIN_INPUT))
+            t_fast, res_fast = _time_run(
+                lambda: run_image(image, TRAIN_INPUT))
+            assert res_ref.steps == res_fast.steps, "engines disagree on steps"
+            assert res_ref.output == res_fast.output, \
+                "engines disagree on output"
+        else:
+            t_ref, res_ref = _time_run(
+                lambda: _identify_on_seed(image, TRAIN_INPUT))
+            t_fast, res_fast = _time_run(
+                lambda: native_extractor.identify_branch_function(
+                    image, TRAIN_INPUT))
+            assert res_ref == res_fast == marked.bf_entry, \
+                "engines identify different routines"
+        ref_times.append(t_ref)
+        fast_times.append(t_fast)
+    for engine, times in (("reference", ref_times), ("fast", fast_times)):
+        results[f"native.{kernel}.{mode}.{engine}"] = _seconds(
+            times, repeats, steps)
+    med, iqr = _median_iqr([r / f for r, f in zip(ref_times, fast_times)])
+    results[f"native.{kernel}.{mode}.speedup"] = {
+        "unit": "ratio",
+        "median": med,
+        "iqr": iqr,
+        "repeats": repeats,
+        "gate": "min",
+    }
+
+
+def _native_steps(results: Dict[str, dict]) -> None:
+    """Instruction counts of two N32 kernels on the training input."""
+    for kernel in ("bzip2", "gzip"):
+        results[f"native.{kernel}.steps"] = {
+            "unit": "steps",
+            "median": run_image(spec_native(kernel), TRAIN_INPUT).steps,
+            "iqr": 0.0,
+            "repeats": 1,
+            "gate": "exact",
+        }
 
 
 def _trace_identity_check() -> bool:
@@ -355,6 +439,10 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         results,
     )
     _trace_size_ratio(results)
+    print("== N32 engine micro-benchmarks ==", flush=True)
+    _native_pair("bzip2", "untraced", repeats, results)
+    _native_pair("bzip2", "watched", repeats, results)
+    _native_steps(results)
     print("== recognize work counts ==", flush=True)
     _window_work_counts(results)
     trace_identical = _trace_identity_check()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ...native.image import BinaryImage
 from ...native.machine import MachineFault, run_image
@@ -43,15 +43,36 @@ class NativeAttackOutcome:
         return not self.program_ok
 
 
+def _outputs(
+    image: BinaryImage,
+    input_sets: Sequence[Sequence[int]],
+    max_steps: int,
+) -> List[Optional[List[int]]]:
+    """The image's output on each input set; None where it faults."""
+    outputs: List[Optional[List[int]]] = []
+    for inputs in input_sets:
+        try:
+            outputs.append(run_image(image, inputs, max_steps).output)
+        except MachineFault:
+            outputs.append(None)
+    return outputs
+
+
 def _program_ok(
-    original: BinaryImage,
+    expected: Sequence[Optional[List[int]]],
     attacked: BinaryImage,
     input_sets: Sequence[Sequence[int]],
     max_steps: int,
 ) -> bool:
-    for inputs in input_sets:
+    """Attacked output equals the original's on every input set.
+
+    ``expected`` holds the original's outputs (see :func:`_outputs`); a
+    set on which the original faults counts as broken.
+    """
+    for want, inputs in zip(expected, input_sets):
+        if want is None:
+            return False
         try:
-            want = run_image(original, inputs, max_steps).output
             got = run_image(attacked, inputs, max_steps).output
         except MachineFault:
             return False
@@ -85,31 +106,35 @@ def evaluate_native_attack(
     name: str,
     embedding: NativeEmbedding,
     attacked: BinaryImage,
-    inputs: Sequence[int],
-    probe_inputs: Sequence[Sequence[int]] = (),
+    input_sets: Sequence[Sequence[int]],
+    expected: Sequence[Optional[List[int]]],
     max_steps: int = 20_000_000,
 ) -> NativeAttackOutcome:
-    input_sets = [list(inputs)] + [list(p) for p in probe_inputs]
-    ok = _program_ok(embedding.image, attacked, input_sets, max_steps)
+    """Judge one attacked image.
+
+    ``input_sets`` is the key input then each probe; ``expected`` holds
+    the original's outputs on them (see :func:`_outputs`). The mark is
+    extracted on the key input.
+    """
+    ok = _program_ok(expected, attacked, input_sets, max_steps)
+    key = input_sets[0]
     return NativeAttackOutcome(
         name=name,
         program_ok=ok,
-        extracted_simple=_extracts(embedding, attacked, inputs, "simple",
+        extracted_simple=_extracts(embedding, attacked, key, "simple",
                                    max_steps),
-        extracted_smart=_extracts(embedding, attacked, inputs, "smart",
+        extracted_smart=_extracts(embedding, attacked, key, "smart",
                                   max_steps),
     )
 
 
-def run_native_attack_suite(
+def native_attack_images(
     embedding: NativeEmbedding,
     inputs: Sequence[int],
-    probe_inputs: Sequence[Sequence[int]] = (),
     second_watermark: int = 0x5A5A,
     rng_seed: int = 2004,
-    max_steps: int = 20_000_000,
-) -> List[NativeAttackOutcome]:
-    """The five-attack battery of Section 5.2.2."""
+) -> Dict[str, BinaryImage]:
+    """The five attacked images of Section 5.2.2, by attack name."""
     image = embedding.image
     rng = random.Random(rng_seed)
     attacked: Dict[str, BinaryImage] = {}
@@ -124,9 +149,27 @@ def run_native_attack_suite(
     attacked["5-reroute-branch-function"] = reroute_branch_function(
         image, embedding.bf_entry, inputs
     )
+    return attacked
+
+
+def run_native_attack_suite(
+    embedding: NativeEmbedding,
+    inputs: Sequence[int],
+    probe_inputs: Sequence[Sequence[int]] = (),
+    second_watermark: int = 0x5A5A,
+    rng_seed: int = 2004,
+    max_steps: int = 20_000_000,
+) -> List[NativeAttackOutcome]:
+    """The five-attack battery of Section 5.2.2."""
+    attacked = native_attack_images(
+        embedding, inputs, second_watermark, rng_seed
+    )
+    input_sets = [list(inputs)] + [list(p) for p in probe_inputs]
+    # The original is run once per input set, not once per attack.
+    expected = _outputs(embedding.image, input_sets, max_steps)
     return [
         evaluate_native_attack(
-            name, embedding, img, inputs, probe_inputs, max_steps
+            name, embedding, img, input_sets, expected, max_steps
         )
         for name, img in sorted(attacked.items())
     ]

@@ -127,8 +127,13 @@ def observe_call_targets(
                 state["stack"].pop()
                 pairs.append((call_addr, m.read32(m.regs[4])))
 
+    def watch(addr: int, instr) -> bool:
+        return instr.mnemonic == "ret" or (
+            instr.mnemonic == "call" and instr.operands[0].value == bf_entry
+        )
+
     try:
-        machine.run(inputs, hook)
+        machine.run(inputs, hook, watch)
     except MachineFault:
         pass
     return pairs

@@ -78,20 +78,20 @@ class _TracerBase:
         self.image = image
         self.bf_entry = bf_entry
         self.events: List[BranchFunctionEvent] = []
-        self._prev_addr: Optional[int] = None
         self._entry_stack: List[Tuple[int, int]] = []  # (esp at entry, source)
 
-    def _source_of_entry(self, machine: Machine, prev_addr: Optional[int]) -> int:
+    def _source_of_entry(self, machine: Machine) -> int:
         raise NotImplementedError
 
     def run(self, inputs: Sequence[int], max_steps: Optional[int] = None):
         machine = Machine(self.image) if max_steps is None else Machine(
             self.image, max_steps
         )
+        bf_entry = self.bf_entry
 
         def hook(m: Machine, addr: int, instr) -> None:
-            if addr == self.bf_entry:
-                source = self._source_of_entry(m, self._prev_addr)
+            if addr == bf_entry:
+                source = self._source_of_entry(m)
                 self._entry_stack.append((m.regs[4], source))
             elif instr.mnemonic == "ret" and self._entry_stack:
                 esp_entry, source = self._entry_stack[-1]
@@ -101,23 +101,26 @@ class _TracerBase:
                     resumed = m.read32(m.regs[4])
                     self._entry_stack.pop()
                     self.events.append(BranchFunctionEvent(source, resumed))
-            self._prev_addr = addr
 
-        machine.run(inputs, hook)
+        def watch(addr: int, instr) -> bool:
+            return addr == bf_entry or instr.mnemonic == "ret"
+
+        machine.run(inputs, hook, watch)
         return machine
 
 
 class SimpleTracer(_TracerBase):
     """a_i := address of the instruction that jumped/called into bf."""
 
-    def _source_of_entry(self, machine: Machine, prev_addr: Optional[int]) -> int:
-        return prev_addr if prev_addr is not None else 0
+    def _source_of_entry(self, machine: Machine) -> int:
+        prev = machine.prev_eip
+        return prev if prev is not None else 0
 
 
 class SmartTracer(_TracerBase):
     """a_i := hash input - 5 (the return address the bf will consume)."""
 
-    def _source_of_entry(self, machine: Machine, prev_addr: Optional[int]) -> int:
+    def _source_of_entry(self, machine: Machine) -> int:
         return machine.read32(machine.regs[4]) - CALL_LENGTH
 
 
@@ -130,7 +133,9 @@ def identify_branch_function(
 
     Maintains a shadow stack of (expected return, call target); a ret
     that pops a *different* address exposes its callee as a branch
-    function. Returns the most frequently exposed call target.
+    function. Returns the most frequently exposed call target. Only
+    calls and rets are watched; a matched ret asks to see the next
+    step too, which is where control actually went.
     """
     machine = Machine(image) if max_steps is None else Machine(
         image, max_steps
@@ -139,7 +144,7 @@ def identify_branch_function(
     exposed: Dict[int, int] = {}
     state = {"pending_ret": None}
 
-    def hook(m: Machine, addr: int, instr) -> None:
+    def hook(m: Machine, addr: int, instr) -> bool:
         pending = state["pending_ret"]
         if pending is not None:
             expected, target = pending
@@ -160,9 +165,14 @@ def identify_branch_function(
                 shadow.pop()
                 # Verify on the *next* step where control actually went.
                 state["pending_ret"] = (expected, target)
+                return True
+        return False
+
+    def watch(addr: int, instr) -> bool:
+        return instr.mnemonic in ("call", "call_a", "ret")
 
     try:
-        machine.run(inputs, hook)
+        machine.run(inputs, hook, watch)
     except MachineFault:
         pass
     if not exposed:

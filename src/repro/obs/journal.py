@@ -219,8 +219,12 @@ class TelemetryHub:
 
     # -- emission ------------------------------------------------------------
 
-    def emit(self, kind: str, name: str = "", **attrs: Any) -> Event:
-        """Record one event: ring buffer plus one journal line."""
+    def emit(self, kind: str, name: str = "", /, **attrs: Any) -> Event:
+        """Record one event: ring buffer plus one journal line.
+
+        ``kind`` and ``name`` are positional-only so an attribute may
+        itself be called ``kind`` or ``name``.
+        """
         context = current_context()
         event = Event(
             kind=kind,
@@ -409,7 +413,7 @@ def set_hub(hub: Optional[TelemetryHub]) -> Optional[TelemetryHub]:
     return previous
 
 
-def emit(kind: str, name: str = "", **attrs: Any) -> Optional[Event]:
+def emit(kind: str, name: str = "", /, **attrs: Any) -> Optional[Event]:
     """Emit through the ambient hub; a single ``None`` test when off."""
     hub = _HUB
     if hub is None:

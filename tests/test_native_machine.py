@@ -26,6 +26,7 @@ from repro.native import (
     signed32,
     wrap32,
 )
+from repro.native._reference import run_image_reference
 from repro.native.isa import INSTRUCTION_FORMS
 
 
@@ -143,53 +144,58 @@ base:
 
 
 class TestMachine:
+    """Machine semantics; :class:`TestReferenceMachine` reruns them on
+    the seed engine."""
+
+    run_image = staticmethod(run_image)
+
     def test_factorial(self):
         image = assemble_text(FACT_SRC)
-        assert run_image(image).output == [720]
+        assert self.run_image(image).output == [720]
 
     def test_input_output(self):
         src = ".entry main\nmain:\n    sys_in\n    mov ebx, eax\n" \
               "    sys_in\n    add eax, ebx\n    sys_out\n    halt\n"
-        assert run_image(assemble_text(src), [30, 12]).output == [42]
+        assert self.run_image(assemble_text(src), [30, 12]).output == [42]
 
     def test_input_exhaustion_faults(self):
         src = ".entry main\nmain:\n    sys_in\n    halt\n"
         with pytest.raises(MachineFault, match="input exhausted"):
-            run_image(assemble_text(src), [])
+            self.run_image(assemble_text(src), [])
 
     def test_division_by_zero_faults(self):
         src = ".entry main\nmain:\n    mov eax, 5\n    mov ebx, 0\n" \
               "    idiv ebx\n    halt\n"
         with pytest.raises(MachineFault, match="division by zero"):
-            run_image(assemble_text(src))
+            self.run_image(assemble_text(src))
 
     def test_signed_division(self):
         src = ".entry main\nmain:\n    mov eax, -7\n    mov ebx, 2\n" \
               "    idiv ebx\n    sys_out\n    mov eax, edx\n    sys_out\n" \
               "    halt\n"
-        assert run_image(assemble_text(src)).output == [-3, -1]
+        assert self.run_image(assemble_text(src)).output == [-3, -1]
 
     def test_wild_read_faults(self):
         src = ".entry main\nmain:\n    mov eax, [0x100]\n    halt\n"
         with pytest.raises(MachineFault, match="bad read"):
-            run_image(assemble_text(src))
+            self.run_image(assemble_text(src))
 
     def test_write_to_text_faults(self):
         src = ".entry main\nmain:\n    mov ebx, 7\n" \
               f"    mov eax, {TEXT_BASE}\n" \
               "    mov [eax+0], ebx\n    halt\n"
         with pytest.raises(MachineFault, match="write to text"):
-            run_image(assemble_text(src))
+            self.run_image(assemble_text(src))
 
     def test_eip_outside_text_faults(self):
         src = ".entry main\nmain:\n    mov eax, 0x100\n    jmp eax\n    halt\n"
         with pytest.raises(MachineFault, match="eip outside text"):
-            run_image(assemble_text(src))
+            self.run_image(assemble_text(src))
 
     def test_step_budget(self):
         src = ".entry main\nmain:\nspin:\n    jmp spin\n"
         with pytest.raises(MachineFault, match="budget"):
-            run_image(assemble_text(src), max_steps=1000)
+            self.run_image(assemble_text(src), max_steps=1000)
 
     def test_ret_address_manipulation(self):
         """The core branch-function mechanic: xor [esp] redirects ret."""
@@ -213,7 +219,7 @@ mangler:
     ret
 """
         # mangler: [esp] ^= ([esp] ^ elsewhere) = elsewhere.
-        assert run_image(assemble_text(src)).output == [2]
+        assert self.run_image(assemble_text(src)).output == [2]
 
     def test_runs_do_not_mutate_image_data(self):
         src = """
@@ -228,8 +234,8 @@ main:
     halt
 """
         image = assemble_text(src)
-        assert run_image(image).output == [6]
-        assert run_image(image).output == [6]  # not 7: fresh data copy
+        assert self.run_image(image).output == [6]
+        assert self.run_image(image).output == [6]  # not 7: fresh data copy
 
     def test_flags_save_restore(self):
         src = """
@@ -250,7 +256,29 @@ less:
     sys_out
     halt
 """
-        assert run_image(assemble_text(src)).output == [99]
+        assert self.run_image(assemble_text(src)).output == [99]
+
+    @pytest.mark.parametrize("short", [1, 2, 3])
+    def test_read_straddling_text_end_faults(self, short):
+        """A 4-byte read must lie wholly inside text, as data and stack
+        reads must: 1-3 bytes short of text_end is a bad read."""
+        src = ".entry main\nmain:\n    mov eax, end\n" \
+              f"    sub eax, {short}\n    mov ebx, [eax+0]\n    halt\nend:\n"
+        image = assemble_text(src)
+        with pytest.raises(MachineFault, match="bad read") as info:
+            self.run_image(image)
+        assert info.value.reason == f"bad read at {image.text_end - short:#x}"
+
+    def test_last_whole_word_of_text_reads(self):
+        src = ".entry main\nmain:\n    mov eax, end\n    sub eax, 4\n" \
+              "    mov eax, [eax+0]\n    sys_out\n    halt\nend:\n"
+        image = assemble_text(src)
+        word = int.from_bytes(image.text[-4:], "little")
+        assert self.run_image(image).output == [signed32(word)]
+
+
+class TestReferenceMachine(TestMachine):
+    run_image = staticmethod(run_image_reference)
 
 
 class TestRewriter:

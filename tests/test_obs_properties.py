@@ -112,3 +112,13 @@ def test_hub_ring_matches_journal(tmp_path_factory, events):
     assert [(e.kind, e.name, e.attrs) for e in ring] == [
         (e.kind, e.name, e.attrs) for e in journaled
     ]
+
+
+def test_hub_accepts_attributes_named_kind_and_name(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    hub = TelemetryHub(HubConfig(journal_path=path))
+    hub.emit("job", "n", kind=None, name="inner")
+    hub.close()
+    (event,) = read_events(path)
+    assert (event.kind, event.name) == ("job", "n")
+    assert event.attrs == {"kind": None, "name": "inner"}
